@@ -27,11 +27,12 @@
 //! poller sees the iteration counter advance while the job runs.
 
 use crate::kernels::{self, KernelCtl, PageRankConfig};
+use parking_lot::{Condvar, Mutex};
 use snb_core::snapshot::{snapshot_from_backend, CsrSnapshot};
 use snb_core::{EdgeLabel, GraphBackend, Result, SnbError, Vid};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Job identifier, unique per manager, never reused.
@@ -210,7 +211,7 @@ impl JobManager {
             cfg: cfg.clone(),
             runners: Mutex::new(Vec::new()),
         });
-        let mut handles = mgr.runners.lock().unwrap();
+        let mut handles = mgr.runners.lock();
         for _ in 0..cfg.runners.max(1) {
             let m = Arc::clone(&mgr);
             handles.push(std::thread::spawn(move || m.runner_loop()));
@@ -221,7 +222,7 @@ impl JobManager {
 
     /// Admit a job or fail fast with `Overloaded` (bounded admission).
     pub fn submit(&self, spec: JobSpec) -> Result<JobId> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock();
         if inner.shutdown {
             return Err(SnbError::Backend("analytics manager is shut down".into()));
         }
@@ -250,7 +251,7 @@ impl JobManager {
             .jobs
             .iter()
             .enumerate()
-            .filter(|(_, (_, r))| r.lock().unwrap().state.is_terminal())
+            .filter(|(_, (_, r))| r.lock().state.is_terminal())
             .map(|(i, _)| i)
             .collect();
         if finished.len() > FINISHED_JOBS_KEPT {
@@ -267,7 +268,7 @@ impl JobManager {
     /// Current status of a job.
     pub fn poll(&self, id: JobId) -> Result<JobStatus> {
         let record = self.record(id)?;
-        let r = record.lock().unwrap();
+        let r = record.lock();
         Ok(JobStatus {
             id,
             kind_tag: r.spec.kind.tag(),
@@ -282,7 +283,7 @@ impl JobManager {
     /// result. Fails with `Conflict` while the job is not `Done`.
     pub fn fetch(&self, id: JobId, top_k: Option<usize>) -> Result<JobOutput> {
         let record = self.record(id)?;
-        let r = record.lock().unwrap();
+        let r = record.lock();
         match (&r.state, &r.output) {
             (JobState::Done, Some(out)) => {
                 let mut out = out.clone();
@@ -302,13 +303,13 @@ impl JobManager {
     /// morsel). Cancelling a finished job is a no-op returning `false`.
     pub fn cancel(&self, id: JobId) -> Result<bool> {
         let record = self.record(id)?;
-        let mut r = record.lock().unwrap();
+        let mut r = record.lock();
         match r.state {
             JobState::Queued => {
                 r.state = JobState::Cancelled;
                 r.cancel.store(true, Ordering::Relaxed);
                 drop(r);
-                let mut inner = self.inner.lock().unwrap();
+                let mut inner = self.inner.lock();
                 inner.live = inner.live.saturating_sub(1);
                 Ok(true)
             }
@@ -325,7 +326,7 @@ impl JobManager {
     pub fn shutdown(&self) {
         let records: Vec<Arc<Mutex<JobRecord>>>;
         {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = self.inner.lock();
             if inner.shutdown {
                 return;
             }
@@ -333,21 +334,21 @@ impl JobManager {
             records = inner.jobs.iter().map(|(_, r)| Arc::clone(r)).collect();
         }
         for r in records {
-            let mut rec = r.lock().unwrap();
+            let mut rec = r.lock();
             rec.cancel.store(true, Ordering::Relaxed);
             if rec.state == JobState::Queued {
                 rec.state = JobState::Cancelled;
             }
         }
         self.cv.notify_all();
-        let handles = std::mem::take(&mut *self.runners.lock().unwrap());
+        let handles = std::mem::take(&mut *self.runners.lock());
         for h in handles {
             let _ = h.join();
         }
     }
 
     fn record(&self, id: JobId) -> Result<Arc<Mutex<JobRecord>>> {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.inner.lock();
         inner
             .jobs
             .iter()
@@ -359,7 +360,7 @@ impl JobManager {
     fn runner_loop(&self) {
         loop {
             let (id, record) = {
-                let mut inner = self.inner.lock().unwrap();
+                let mut inner = self.inner.lock();
                 loop {
                     if inner.shutdown {
                         return;
@@ -375,12 +376,12 @@ impl JobManager {
                             None => continue, // evicted — skip
                         }
                     }
-                    inner = self.cv.wait(inner).unwrap();
+                    self.cv.wait(&mut inner);
                 }
             };
             // Cancelled while queued: nothing to run.
             {
-                let mut r = record.lock().unwrap();
+                let mut r = record.lock();
                 if r.state != JobState::Queued {
                     continue;
                 }
@@ -388,7 +389,7 @@ impl JobManager {
             }
             let outcome = self.run_job(&record);
             {
-                let mut r = record.lock().unwrap();
+                let mut r = record.lock();
                 match outcome {
                     Ok(Some(out)) => {
                         r.output = Some(out);
@@ -398,7 +399,7 @@ impl JobManager {
                     Err(e) => r.state = JobState::Failed(e.to_string()),
                 }
             }
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = self.inner.lock();
             inner.live = inner.live.saturating_sub(1);
             let _ = id;
         }
@@ -408,12 +409,12 @@ impl JobManager {
     /// record. `Ok(None)` = cancelled.
     fn run_job(&self, record: &Arc<Mutex<JobRecord>>) -> Result<Option<JobOutput>> {
         let (spec, cancel) = {
-            let r = record.lock().unwrap();
+            let r = record.lock();
             (r.spec.clone(), Arc::clone(&r.cancel))
         };
         let snap = self.pin_for_job()?;
         {
-            let mut r = record.lock().unwrap();
+            let mut r = record.lock();
             r.epoch = snap.epoch();
             r.n_rows = snap.n_rows() as u64;
         }
@@ -422,7 +423,7 @@ impl JobManager {
         let pacing = spec.pacing;
         let progress = |iteration: u32, delta: f64| {
             {
-                let mut r = record.lock().unwrap();
+                let mut r = record.lock();
                 if !r.state.is_terminal() {
                     r.state = JobState::Running { iteration, delta };
                 }

@@ -234,6 +234,10 @@ impl Drop for GremlinServer {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
+        // The analytics runners each hold an `Arc<JobManager>`, so the
+        // manager's own `Drop` never runs while they live: stop them
+        // here, or the manager (and the backend it holds) outlives us.
+        self.jobs.shutdown();
     }
 }
 
@@ -694,6 +698,47 @@ mod tests {
         let read = wire::encode_traversal(&Traversal::v(p(3)).both(EdgeLabel::Knows).count());
         let bytes = raw.try_execute_inline(&read).expect("still inline-eligible").unwrap();
         assert_eq!(wire::decode_values(&bytes).unwrap(), vec![Value::Int(2)]);
+    }
+
+    #[test]
+    fn dropping_the_server_frees_its_backend() {
+        use snb_analytics::{JobSpec, JobState, PageRankConfig};
+        let store = Arc::new(NativeGraphStore::new());
+        for id in 1..=40 {
+            store.add_vertex(VertexLabel::Person, id, &[]).unwrap();
+        }
+        for id in 1..40 {
+            store.add_edge(EdgeLabel::Knows, p(id), p(id + 1), &[]).unwrap();
+        }
+        store.compact_now();
+        let backend: Arc<dyn GraphBackend> = store;
+        let weak = Arc::downgrade(&backend);
+        let server = GremlinServer::start(
+            backend,
+            ServerConfig {
+                analytics: AnalyticsConfig { runners: 1, max_pending: 2, default_workers: 1 },
+                ..Default::default()
+            },
+        );
+        // A slow job that is running when the server drops, and one
+        // still queued behind it.
+        let mut spec = JobSpec::pagerank(PageRankConfig {
+            epsilon: 0.0,
+            max_iters: 100_000,
+            ..Default::default()
+        });
+        spec.pacing = Duration::from_millis(5);
+        let jobs = server.analytics();
+        let running = jobs.submit(spec.clone()).unwrap();
+        let queued = jobs.submit(spec).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(20);
+        while !matches!(jobs.poll(running).unwrap().state, JobState::Running { .. }) {
+            assert!(std::time::Instant::now() < deadline, "job never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(jobs.poll(queued).unwrap().state, JobState::Queued);
+        drop(server);
+        assert!(weak.upgrade().is_none(), "backend still alive after the server dropped");
     }
 
     #[test]

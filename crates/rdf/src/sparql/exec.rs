@@ -2,7 +2,7 @@
 //! paths, filters, and the transitivity extension.
 
 use snb_core::{FastMap, FastSet, Result, SnbError, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use super::ast::*;
 use super::SparqlResult;
@@ -125,43 +125,51 @@ fn exec_select(store: &TripleStore, q: &SelectQuery) -> Result<SparqlResult> {
 
     // Greedy pattern ordering: repeatedly evaluate the pattern with the
     // most bound endpoints (ground terms or already-bound variables) —
-    // the translation step a triple store's optimizer performs.
-    let mut remaining: Vec<&Pattern> = q.patterns.iter().collect();
-    let mut bound: HashSet<usize> = HashSet::new();
+    // the translation step a triple store's optimizer performs. Ties
+    // between ground-anchored patterns go to the fewest index matches.
+    let slot_of = |t: &PatTerm| pat_key(t).map(|k| sym.lookup(&k)).transpose();
+    let mut remaining: Vec<Pending> = q
+        .patterns
+        .iter()
+        .map(|p| {
+            let ends = [slot_of(&p.subject)?, slot_of(&p.object)?];
+            Ok(Pending { pattern: p, ends, card: Card::Unknown })
+        })
+        .collect::<Result<_>>()?;
+    let mut bound = vec![false; n_slots];
+    let mut tied: Vec<usize> = Vec::new();
     let mut pending_filters: Vec<&FilterExpr> = q.filters.iter().collect();
     while !remaining.is_empty() {
-        let score = |p: &Pattern| -> usize {
-            let endpoint = |t: &PatTerm| match t {
-                PatTerm::Ground(_) => 2,
-                _ => match pat_key(t) {
-                    Some(k) => {
-                        if sym.lookup(&k).map(|s| bound.contains(&s)).unwrap_or(false) {
-                            2
-                        } else {
-                            0
-                        }
-                    }
-                    None => 0,
-                },
-            };
-            endpoint(&p.subject) * 2 + endpoint(&p.object)
+        let bound_var = |end: Option<usize>| end.is_some_and(|s| bound[s]);
+        let score = |c: &Pending| -> usize {
+            let endpoint = |end: Option<usize>| if end.is_none() || bound_var(end) { 2 } else { 0 };
+            endpoint(c.ends[0]) * 2 + endpoint(c.ends[1])
         };
-        let best = (0..remaining.len())
-            .max_by_key(|&i| score(remaining[i]))
-            .expect("remaining non-empty");
-        let pattern = remaining.swap_remove(best);
-        rows = eval_pattern(store, pattern, rows, &sym, &bound)?;
-        for t in [&pattern.subject, &pattern.object] {
-            if let Some(k) = pat_key(t) {
-                bound.insert(sym.lookup(&k)?);
-            }
+        let top = remaining.iter().map(score).max().expect("remaining non-empty");
+        tied.clear();
+        tied.extend((0..remaining.len()).filter(|&i| score(&remaining[i]) == top));
+        // A quantified path, or a pattern anchored by a bound variable,
+        // has no single index count (its cost depends on the reach or on
+        // the rows), so any tie with one keeps the plain order: the last
+        // tied pattern.
+        let countable =
+            |c: &Pending| c.pattern.path.quant == (1, 1) && !c.ends.into_iter().any(bound_var);
+        let best = if tied.len() > 1 && tied.iter().all(|&i| countable(&remaining[i])) {
+            fewest_matches(store, &mut remaining, &tied)
+        } else {
+            *tied.last().expect("a top score")
+        };
+        let Pending { pattern, ends, .. } = remaining.swap_remove(best);
+        rows = eval_pattern(store, pattern, ends, rows)?;
+        for s in ends.into_iter().flatten() {
+            bound[s] = true;
         }
         // Apply any filter whose variables are now all bound.
         pending_filters.retain(|f| {
             let ready = f
                 .vars()
                 .iter()
-                .all(|v| sym.lookup(v).map(|s| bound.contains(&s)).unwrap_or(false));
+                .all(|v| sym.lookup(v).is_ok_and(|s| bound[s]));
             if ready {
                 rows.retain(|row| eval_filter(f, row, &sym).unwrap_or(false));
             }
@@ -237,6 +245,90 @@ fn exec_select(store: &TripleStore, q: &SelectQuery) -> Result<SparqlResult> {
     }
 }
 
+/// A BGP pattern not yet evaluated.
+struct Pending<'a> {
+    pattern: &'a Pattern,
+    /// Subject and object binding slots; `None` for a ground term.
+    ends: [Option<usize>; 2],
+    card: Card,
+}
+
+/// What the planner knows of a ground-anchored pattern's match count.
+/// It depends only on the pattern's ground terms, so it is kept for the
+/// whole query.
+#[derive(Debug, Clone, Copy)]
+enum Card {
+    Unknown,
+    /// Counting stopped at this cap: at least this many matches.
+    AtLeast(usize),
+    Exact(usize),
+}
+
+/// The cap a tie's first counting round stops at; each further round
+/// multiplies it by `CAP_GROWTH`.
+const FIRST_CAP: usize = 16;
+const CAP_GROWTH: usize = 8;
+
+/// Index in `remaining` of the tied pattern with the fewest matches (the
+/// last such on equal counts, as the plain order would pick). Counts are
+/// capped at the smallest exact count seen plus one, and at a round cap
+/// that grows geometrically, so a tie costs O(candidates × the winner's
+/// count) index steps whatever the candidates' textual order.
+fn fewest_matches(store: &TripleStore, remaining: &mut [Pending], tied: &[usize]) -> usize {
+    let mut cap = FIRST_CAP;
+    loop {
+        let mut best: Option<(usize, usize)> = tied
+            .iter()
+            .filter_map(|&i| match remaining[i].card {
+                Card::Exact(n) => Some((n, i)),
+                _ => None,
+            })
+            .min_by_key(|&(n, _)| n);
+        for &i in tied {
+            let limit = best.map_or(cap, |(n, _)| cap.min(n + 1));
+            let c = &mut remaining[i];
+            c.card = match c.card {
+                Card::Unknown => count_capped(store, c.pattern, limit),
+                Card::AtLeast(a) if a < limit => count_capped(store, c.pattern, limit),
+                known => known,
+            };
+            if let Card::Exact(n) = c.card {
+                if best.map_or(true, |(b, _)| n <= b) {
+                    best = Some((n, i));
+                }
+            }
+        }
+        // Settled once every inexact candidate is known to have more.
+        if let Some((n, i)) = best {
+            if tied.iter().all(|&j| !matches!(remaining[j].card, Card::AtLeast(a) if a <= n)) {
+                return i;
+            }
+        }
+        cap = cap.saturating_mul(CAP_GROWTH);
+    }
+}
+
+/// A single-hop pattern's match count over its ground terms, summed over
+/// its alternation and stopped at `cap`.
+fn count_capped(store: &TripleStore, pattern: &Pattern, cap: usize) -> Card {
+    fn ground(t: &PatTerm) -> Option<&Term> {
+        match t {
+            PatTerm::Ground(t) => Some(t),
+            _ => None,
+        }
+    }
+    let (s, o) = (ground(&pattern.subject), ground(&pattern.object));
+    let mut n = 0;
+    for step in &pattern.path.steps {
+        let (a, b) = if step.inverse { (o, s) } else { (s, o) };
+        n += store.count_matching(a, Some(&Term::Pred(step.pred)), b, cap - n);
+        if n == cap {
+            return Card::AtLeast(cap);
+        }
+    }
+    Card::Exact(n)
+}
+
 fn cmp_vals(a: &Value, b: &Value) -> std::cmp::Ordering {
     match (a, b) {
         (Value::Date(x), Value::Int(y)) | (Value::Int(x), Value::Date(y)) => x.cmp(y),
@@ -295,12 +387,9 @@ fn step_neighbors(store: &TripleStore, node: &Term, steps: &[PathStep], out: &mu
 fn eval_pattern(
     store: &TripleStore,
     pattern: &Pattern,
+    [s_slot, o_slot]: [Option<usize>; 2],
     rows: Vec<Binding>,
-    sym: &SymTab,
-    bound: &HashSet<usize>,
 ) -> Result<Vec<Binding>> {
-    let s_slot = pat_key(&pattern.subject).map(|k| sym.lookup(&k)).transpose()?;
-    let o_slot = pat_key(&pattern.object).map(|k| sym.lookup(&k)).transpose()?;
     let term_of = |t: &PatTerm, slot: Option<usize>, row: &Binding| -> Option<Term> {
         match t {
             PatTerm::Ground(t) => Some(t.clone()),
@@ -368,7 +457,6 @@ fn eval_pattern(
                 ))
             }
         };
-        let _ = bound;
         // BFS collecting distinct nodes with min ≤ depth ≤ max.
         let mut dist: FastMap<Term, u32> = FastMap::from_iter([(start.clone(), 0)]);
         let mut queue: VecDeque<(Term, u32)> = VecDeque::from([(start, 0)]);

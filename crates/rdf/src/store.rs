@@ -2,6 +2,7 @@
 
 use parking_lot::RwLock;
 use snb_core::{EdgeLabel, PropKey, Result, Value, VertexLabel, Vid};
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::Bound;
 
@@ -72,7 +73,7 @@ impl Perm {
 
 struct Inner {
     dict: Dictionary,
-    indexes: Vec<(Perm, BTreeSet<(TermId, TermId, TermId)>)>,
+    indexes: Vec<(Perm, BTreeSet<Key>)>,
     triple_count: usize,
 }
 
@@ -240,22 +241,65 @@ impl TripleStore {
         out: &mut Vec<(Term, Term, Term)>,
     ) -> Result<()> {
         let inner = self.inner.read();
+        let Some(scan) = inner.scan(s, p, o) else {
+            return Ok(()); // an unknown term matches nothing
+        };
+        let before = out.len();
+        for (ks, kp, ko) in scan.triples() {
+            out.push((inner.dict.decode(ks)?, inner.dict.decode(kp)?, inner.dict.decode(ko)?));
+        }
+        note_scanned(out.len() - before);
+        Ok(())
+    }
+
+    /// How many triples `match_pattern` would return for this pattern,
+    /// counted on the same index range without decoding anything, and
+    /// never past `cap`: the result is `min(count, cap)`, so a return of
+    /// `cap` means "at least `cap`".
+    pub fn count_matching(
+        &self,
+        s: Option<&Term>,
+        p: Option<&Term>,
+        o: Option<&Term>,
+        cap: usize,
+    ) -> usize {
+        let inner = self.inner.read();
+        let n = inner.scan(s, p, o).map_or(0, |scan| scan.triples().take(cap).count());
+        note_scanned(n);
+        n
+    }
+}
+
+type Key = (TermId, TermId, TermId);
+
+/// One planned index range scan: the permutation with the longest bound
+/// prefix, the key range fixing that prefix, and the encoded bound
+/// positions every key must match.
+struct Scan<'a> {
+    perm: Perm,
+    set: &'a BTreeSet<Key>,
+    lo: Key,
+    hi: Key,
+    s: Option<TermId>,
+    p: Option<TermId>,
+    o: Option<TermId>,
+}
+
+impl Inner {
+    /// Plan the scan for a pattern (None = wildcard). `None` when a bound
+    /// term is not in the dictionary, so nothing can match.
+    fn scan(&self, s: Option<&Term>, p: Option<&Term>, o: Option<&Term>) -> Option<Scan<'_>> {
+        // Outer None = term unknown (no match); inner None = wildcard.
         let enc = |t: Option<&Term>| -> Option<Option<TermId>> {
-            // Outer None = wildcard; inner None = term unknown (no match).
             match t {
                 None => Some(None),
-                Some(t) => match inner.dict.encode_existing(t) {
-                    Some(id) => Some(Some(id)),
-                    None => None,
-                },
+                Some(t) => self.dict.encode_existing(t).map(Some),
             }
         };
-        let (Some(s), Some(p), Some(o)) = (enc(s), enc(p), enc(o)) else {
-            return Ok(()); // an unknown literal matches nothing
-        };
+        let (s, p, o) = (enc(s)?, enc(p)?, enc(o)?);
         // Pick the permutation with the longest bound prefix.
-        let mut best: Option<(Perm, &BTreeSet<_>, usize)> = None;
-        for (perm, set) in &inner.indexes {
+        let mut best: Option<(Perm, &BTreeSet<Key>, usize)> = None;
+        for (perm, set) in &self.indexes {
             let key = perm.pack(
                 s.map_or(0, |_| 1),
                 p.map_or(0, |_| 2),
@@ -285,28 +329,38 @@ impl TripleStore {
             (false, true, true) => ((bound.0, 0, 0), (bound.0, u64::MAX, u64::MAX)),
             _ => ((0, 0, 0), (u64::MAX, u64::MAX, u64::MAX)),
         };
-        for &key in set.range((Bound::Included(lo), Bound::Included(hi))) {
-            let (ks, kp, ko) = perm.unpack(key);
-            // Residual checks for positions not covered by the prefix.
-            if let Some(sv) = s {
-                if ks != sv {
-                    continue;
-                }
-            }
-            if let Some(pv) = p {
-                if kp != pv {
-                    continue;
-                }
-            }
-            if let Some(ov) = o {
-                if ko != ov {
-                    continue;
-                }
-            }
-            out.push((inner.dict.decode(ks)?, inner.dict.decode(kp)?, inner.dict.decode(ko)?));
-        }
-        Ok(())
+        Some(Scan { perm, set, lo, hi, s, p, o })
     }
+}
+
+impl Scan<'_> {
+    /// The matching triples in index order, as `(s, p, o)` ids.
+    fn triples(&self) -> impl Iterator<Item = Key> + '_ {
+        self.set
+            .range((Bound::Included(self.lo), Bound::Included(self.hi)))
+            .map(|&key| self.perm.unpack(key))
+            // Residual checks for positions not covered by the prefix.
+            .filter(|&(ks, kp, ko)| {
+                self.s.map_or(true, |v| v == ks)
+                    && self.p.map_or(true, |v| v == kp)
+                    && self.o.map_or(true, |v| v == ko)
+            })
+    }
+}
+
+thread_local! {
+    static SCANNED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note_scanned(n: usize) {
+    SCANNED.with(|c| c.set(c.get() + n as u64));
+}
+
+/// Triples the calling thread's index scans (`match_pattern` and
+/// `count_matching`) have produced so far. Monotonic; the difference of
+/// two reads around a query is what that query touched in the indexes.
+pub fn scanned_triples() -> u64 {
+    SCANNED.with(Cell::get)
 }
 
 impl Default for TripleStore {
@@ -385,6 +439,32 @@ mod tests {
         out.clear();
         s.match_pattern(None, None, None, &mut out).unwrap();
         assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn count_matching_agrees_with_match_pattern_and_stops_at_cap() {
+        for cfg in [IndexConfig::Spo, IndexConfig::Three, IndexConfig::Six] {
+            let s = TripleStore::with_indexes(cfg);
+            let knows = Term::Pred(edge_pred(EdgeLabel::Knows));
+            for (a, b) in [(1, 2), (1, 3), (2, 3), (4, 3), (5, 3)] {
+                s.insert(&person(a), &knows, &person(b));
+            }
+            let (p1, p3, nobody) = (person(1), person(3), person(99));
+            let bindings = [
+                (None, None),
+                (Some(&p1), None),
+                (None, Some(&p3)),
+                (Some(&p1), Some(&p3)),
+                (Some(&nobody), None),
+            ];
+            for (sv, ov) in bindings {
+                let mut out = Vec::new();
+                s.match_pattern(sv, Some(&knows), ov, &mut out).unwrap();
+                let n = out.len();
+                assert_eq!(s.count_matching(sv, Some(&knows), ov, usize::MAX), n, "{cfg:?}");
+                assert_eq!(s.count_matching(sv, Some(&knows), ov, 2), n.min(2), "{cfg:?}");
+            }
+        }
     }
 
     #[test]
