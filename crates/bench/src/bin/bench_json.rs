@@ -1075,8 +1075,8 @@ fn main() {
     }
 
     // --- SQL recursive shortest path: optimizer on vs off ------------
-    // The planner rewrites the reach-shaped CTE to a BFS over cached
-    // Person/Knows adjacency; naive semi-naive evaluation re-joins the
+    // The planner rewrites the reach-shaped CTE to a bidirectional BFS
+    // over the Person/Knows indexes; naive semi-naive evaluation re-joins the
     // edge table against the delta once per iteration. Measured on the
     // row store (the Postgres analogue), bypassing the adapter's CSR
     // fast path so the CTE itself is what runs.

@@ -12,7 +12,8 @@
 //! Optimize rules:
 //! * `scan_strategy` — pick dense id lookup vs label scan vs full scan
 //!   (graph) and indexed probe vs sequential scan (tables), seeding
-//!   cardinality estimates from statistics.
+//!   cardinality estimates from statistics. A table seq scan costs
+//!   every row it reads; an index probe costs rows / distinct keys.
 //! * `expansion_reorder` — orient a Cypher chain so the id-anchored
 //!   end drives the expansion (mirrors the executor's anchoring
 //!   heuristic, with the cost model recorded in the trace).
@@ -221,23 +222,27 @@ fn rule_scan_strategy(plan: &mut Plan, stats: &dyn PlanStats, trace: &mut Trace)
                 (Strategy::Adjacency, est, format!("avg degree {deg:.1} → ~{est:.1} rows"))
             }
             OpKind::PathLen { .. } => (Strategy::Adjacency, prev_est, "bidirectional BFS".to_string()),
+            // A seq scan costs every row it reads, filtered or not; an
+            // index probe costs the rows behind one key.
             OpKind::TableScan { slot, table } => {
                 let rows = stats.table_rows(&table);
-                let anchor = plan
-                    .preds
-                    .iter()
-                    .find(|p| p.anchor.as_ref().map_or(false, |(s, _)| *s == slot));
+                let anchor = plan.preds.iter().find_map(|p| match &p.anchor {
+                    Some((s, col)) if *s == slot => Some((p.sel, col.clone())),
+                    _ => None,
+                });
                 match anchor {
-                    Some(p) if stats.table_indexed(&table, &p.anchor.as_ref().unwrap().1) => {
-                        let col = p.anchor.as_ref().unwrap().1.clone();
+                    Some((sel, col)) if stats.table_indexed(&table, &col) => {
+                        let est = match stats.table_distinct(&table, &col) {
+                            Some(keys) if keys >= 1.0 => rows / keys,
+                            _ => rows * sel,
+                        };
                         let detail = format!("{table}: indexed probe on {col}");
-                        (Strategy::IndexEq(col), (rows * p.sel).max(1.0), detail)
+                        (Strategy::IndexEq(col), est.max(1.0), detail)
                     }
-                    Some(p) => {
-                        let est = (rows * p.sel).max(1.0);
-                        (Strategy::Seq, est, format!("{table}: seq scan, anchored to ~{est:.1} rows"))
+                    _ => {
+                        let kept = anchor.map_or(rows, |(sel, _)| (rows * sel).max(1.0));
+                        (Strategy::Seq, rows, format!("{table}: seq scan reads ~{rows:.0} rows, keeps ~{kept:.1}"))
                     }
-                    None => (Strategy::Seq, rows, format!("{table}: seq scan over ~{rows:.0} rows")),
                 }
             }
         };
@@ -272,7 +277,7 @@ fn rule_expansion_reorder(plan: &mut Plan, trace: &mut Trace) {
         return;
     }
     let head = plan.ops[0].binds();
-    let tail = plan.ops.last().unwrap().binds();
+    let Some(tail) = plan.ops.last().map(|o| o.binds()) else { return };
     if id_anchored(plan, head) || !id_anchored(plan, tail) {
         return;
     }
@@ -327,12 +332,13 @@ fn rule_join_order(plan: &mut Plan, trace: &mut Trace) {
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut bound_slots: HashSet<usize> = HashSet::new();
     let mut remaining: Vec<usize> = (0..n).collect();
+    let cheapest = |pool: &[usize]| {
+        pool.iter().copied().min_by(|&a, &b| {
+            plan.ops[a].est_rows.partial_cmp(&plan.ops[b].est_rows).unwrap_or(std::cmp::Ordering::Equal)
+        })
+    };
     // Seed: cheapest source.
-    let seed = remaining
-        .iter()
-        .copied()
-        .min_by(|&a, &b| plan.ops[a].est_rows.partial_cmp(&plan.ops[b].est_rows).unwrap_or(std::cmp::Ordering::Equal))
-        .unwrap();
+    let Some(seed) = cheapest(&remaining) else { return };
     order.push(seed);
     bound_slots.insert(slot_of[seed]);
     remaining.retain(|&x| x != seed);
@@ -350,11 +356,7 @@ fn rule_join_order(plan: &mut Plan, trace: &mut Trace) {
             })
             .collect();
         let pool = if connected.is_empty() { &remaining } else { &connected };
-        let next = pool
-            .iter()
-            .copied()
-            .min_by(|&a, &b| plan.ops[a].est_rows.partial_cmp(&plan.ops[b].est_rows).unwrap_or(std::cmp::Ordering::Equal))
-            .unwrap();
+        let Some(next) = cheapest(pool) else { return };
         order.push(next);
         bound_slots.insert(slot_of[next]);
         remaining.retain(|&x| x != next);
@@ -560,6 +562,55 @@ mod tests {
         assert!(trace.fires.iter().any(|f| f.rule == "join_order"));
         assert_eq!(plan.ops[0].binds(), 1, "anchored person table seeds the join");
         assert_eq!(plan.ops[0].strategy, Strategy::IndexEq("id".into()));
+    }
+
+    #[test]
+    fn seq_scan_costs_every_row_and_probe_costs_one_key() {
+        // The Complex2Hop arm: k1.src = $1 (indexed), k2 joined on
+        // k1.dst, p joined on k2.dst and filtered on an unindexed name.
+        let join = |a: usize, ac: &str, b: usize, bc: &str, payload: usize| Pred {
+            refs: vec![a, b],
+            sel: 0.1,
+            desc: format!("s{a}.{ac} = s{b}.{bc}"),
+            payload,
+            anchor: None,
+            join: Some((a, ac.into(), b, bc.into())),
+        };
+        let mut plan = Plan {
+            kind: PlanKind::Sql,
+            slots: vec![node_slot("k1", None), node_slot("k2", None), node_slot("p", None)],
+            preds: vec![
+                eq_pred(0, "src", 0, 0.1),
+                join(1, "src", 0, "dst", 1),
+                join(2, "id", 1, "dst", 2),
+                eq_pred(2, "firstName", 3, 0.1),
+            ],
+            ops: vec![
+                OpNode::new(0, OpKind::TableScan { slot: 0, table: "person_knows_person".into() }),
+                OpNode::new(1, OpKind::TableScan { slot: 1, table: "person_knows_person".into() }),
+                OpNode::new(2, OpKind::TableScan { slot: 2, table: "person".into() }),
+            ],
+            proj: Projection::default(),
+        };
+        struct S;
+        impl PlanStats for S {
+            fn table_rows(&self, t: &str) -> f64 {
+                if t == "person" { 5700.0 } else { 21000.0 }
+            }
+            fn table_indexed(&self, _t: &str, c: &str) -> bool {
+                c != "firstName"
+            }
+            fn table_distinct(&self, _t: &str, _c: &str) -> Option<f64> {
+                Some(5600.0)
+            }
+        }
+        optimize(&mut plan, &S).unwrap();
+        let order: Vec<usize> = plan.ops.iter().map(|o| o.binds()).collect();
+        assert_eq!(order, vec![0, 1, 2], "seeded from the probe, person joined last");
+        assert_eq!(plan.ops[0].strategy, Strategy::IndexEq("src".into()));
+        assert!((plan.ops[0].est_rows - 21000.0 / 5600.0).abs() < 1e-9);
+        assert_eq!(plan.ops[2].strategy, Strategy::Seq);
+        assert_eq!(plan.ops[2].est_rows, 5700.0, "a filtered seq scan still reads every row");
     }
 
     #[test]

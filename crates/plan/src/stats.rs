@@ -3,10 +3,10 @@
 //! The pipeline consumes statistics through [`PlanStats`] so front ends
 //! can plug in whatever they have: the Cypher engine samples degree
 //! counts from the pinned [`CsrSnapshot`] ([`CsrStats`]), the SQL
-//! engine reports table row counts and index presence, and tests plan
-//! against fixed defaults ([`NoStats`]). Estimates only order work —
-//! correctness never depends on them — so cheap sampled numbers are
-//! plenty.
+//! engine reports table row counts, index presence and index key
+//! counts, and tests plan against fixed defaults ([`NoStats`]).
+//! Estimates only order work — correctness never depends on them — so
+//! cheap sampled numbers are plenty.
 
 use snb_core::{CsrSnapshot, Direction, EdgeLabel, VertexLabel};
 use std::sync::Arc;
@@ -37,6 +37,11 @@ pub trait PlanStats {
     /// Whether `table.col` has an equality index.
     fn table_indexed(&self, _table: &str, _col: &str) -> bool {
         false
+    }
+    /// Distinct values of the indexed `table.col`; `None` when unknown,
+    /// which leaves an index probe estimated at `rows × selectivity`.
+    fn table_distinct(&self, _table: &str, _col: &str) -> Option<f64> {
+        None
     }
 }
 
@@ -85,5 +90,6 @@ mod tests {
         let s = NoStats;
         assert_eq!(s.total_rows(), s.label_rows(Some(VertexLabel::Person)));
         assert!(!s.table_indexed("person", "id"));
+        assert_eq!(s.table_distinct("person", "id"), None);
     }
 }

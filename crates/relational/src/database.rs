@@ -3,26 +3,12 @@
 use parking_lot::RwLock;
 use snb_core::{Result, SnbError, Value};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::catalog::{snb_catalog, TableDef};
 use crate::sql::planner::SqlPlanEntry;
 use crate::table::Table;
-
-/// Bidirectional adjacency materialized from one edge table, keyed by
-/// the database write sequence it was built at. Recursive shortest-path
-/// queries walk this instead of re-joining the edge table per
-/// semi-naive iteration.
-pub(crate) struct AdjCache {
-    pub table: String,
-    pub src_col: String,
-    pub dst_col: String,
-    /// `write_seq` at build time; any later write invalidates.
-    pub seq: u64,
-    pub fwd: HashMap<Value, Vec<Value>>,
-    pub bwd: HashMap<Value, Vec<Value>>,
-}
 
 /// Cap on cached SQL plans; the cache is cleared wholesale when full.
 const PLAN_CACHE_CAP: usize = 256;
@@ -46,16 +32,10 @@ pub struct Database {
     /// Whether the SQL dialect accepts the `TRANSITIVE` operator
     /// (Virtuoso's graph-aware extension) — column-store only.
     pub(crate) transitive_enabled: bool,
-    /// Monotonic counter bumped on every write; versions the adjacency
-    /// cache.
-    write_seq: AtomicU64,
     /// Whether `sql()` routes through the shared optimizer pipeline.
     planner: AtomicBool,
     /// Query-text → optimized plan entry.
     plans: RwLock<HashMap<String, Arc<SqlPlanEntry>>>,
-    /// Most recently built adjacency (one edge table at a time — the
-    /// workload only walks `person_knows_person`).
-    pub(crate) adj: RwLock<Option<Arc<AdjCache>>>,
 }
 
 impl Database {
@@ -71,10 +51,8 @@ impl Database {
             layout,
             tables,
             transitive_enabled: layout == Layout::Column,
-            write_seq: AtomicU64::new(0),
             planner: AtomicBool::new(true),
             plans: RwLock::new(HashMap::new()),
-            adj: RwLock::new(None),
         }
     }
 
@@ -107,59 +85,6 @@ impl Database {
         Ok(entry)
     }
 
-    /// Current write sequence number.
-    pub(crate) fn write_seq(&self) -> u64 {
-        self.write_seq.load(Ordering::Acquire)
-    }
-
-    /// Record that a write happened (invalidates the adjacency cache).
-    pub(crate) fn bump_write_seq(&self) {
-        self.write_seq.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Adjacency over `table(src_col, dst_col)` at the current write
-    /// sequence, rebuilding only when stale or shaped differently.
-    pub(crate) fn adjacency(
-        &self,
-        table: &str,
-        src_col: &str,
-        dst_col: &str,
-    ) -> Result<Arc<AdjCache>> {
-        let seq = self.write_seq();
-        if let Some(hit) = self.adj.read().as_ref() {
-            if hit.seq == seq && hit.table == table && hit.src_col == src_col && hit.dst_col == dst_col
-            {
-                return Ok(hit.clone());
-            }
-        }
-        let lock = self.table(table)?;
-        let t = lock.read();
-        let si = t.def.col(src_col)?;
-        let di = t.def.col(dst_col)?;
-        let mut fwd: HashMap<Value, Vec<Value>> = HashMap::new();
-        let mut bwd: HashMap<Value, Vec<Value>> = HashMap::new();
-        for row in 0..t.len() as u32 {
-            let s = t.cell(row, si).clone();
-            let d = t.cell(row, di).clone();
-            if s == Value::Null || d == Value::Null {
-                continue;
-            }
-            fwd.entry(s.clone()).or_default().push(d.clone());
-            bwd.entry(d).or_default().push(s);
-        }
-        drop(t);
-        let built = Arc::new(AdjCache {
-            table: table.to_string(),
-            src_col: src_col.to_string(),
-            dst_col: dst_col.to_string(),
-            seq,
-            fwd,
-            bwd,
-        });
-        *self.adj.write() = Some(built.clone());
-        Ok(built)
-    }
-
     /// The layout this database uses.
     pub fn layout(&self) -> Layout {
         self.layout
@@ -188,7 +113,6 @@ impl Database {
     /// Direct (non-SQL) bulk insert used by loaders.
     pub fn insert_row(&self, table: &str, row: Vec<Value>) -> Result<()> {
         self.table(table)?.write().insert(row)?;
-        self.bump_write_seq();
         Ok(())
     }
 
@@ -200,9 +124,7 @@ impl Database {
         if rows.is_empty() {
             return Ok(0);
         }
-        let n = self.table(table)?.write().insert_many(rows);
-        self.bump_write_seq();
-        n
+        self.table(table)?.write().insert_many(rows)
     }
 
     /// Row count of one table.

@@ -13,13 +13,14 @@
 //!   when a two-hop frontier revisits the same keys.
 
 use snb_core::{Result, SnbError, Value};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use super::ast::*;
 use super::planner::{BfsSpec, JoinSchedule, SqlPlanEntry};
 use super::SqlResult;
 use crate::catalog::ColType;
 use crate::database::{Database, Layout};
+use crate::table::Table;
 
 /// A materialized intermediate relation (CTE working table).
 #[derive(Debug, Clone, Default)]
@@ -47,7 +48,7 @@ pub fn execute(db: &Database, stmt: &Stmt, params: &[Value]) -> Result<SqlResult
 
 /// Execute a cached plan entry: join schedules from the optimizer drive
 /// source ordering, and a detected reach-shaped recursive CTE runs as a
-/// BFS over cached adjacency instead of semi-naive iteration.
+/// BFS over the edge table's indexes instead of semi-naive iteration.
 pub(crate) fn execute_planned(
     db: &Database,
     entry: &SqlPlanEntry,
@@ -165,7 +166,7 @@ fn truthy(v: &Value) -> bool {
 /// locked database table or a materialized CTE relation.
 #[derive(Clone, Copy)]
 enum Source<'a> {
-    Db(&'a crate::table::Table),
+    Db(&'a Table),
     Mat(&'a Materialized),
 }
 
@@ -231,7 +232,7 @@ impl Source<'_> {
 /// deadlock against a queued writer, and an unfair recursive guard
 /// would starve writers under closed-loop readers.
 struct TableGuards<'a> {
-    guards: Vec<(String, parking_lot::RwLockReadGuard<'a, crate::table::Table>)>,
+    guards: Vec<(String, parking_lot::RwLockReadGuard<'a, Table>)>,
 }
 
 impl<'a> TableGuards<'a> {
@@ -252,7 +253,7 @@ impl<'a> TableGuards<'a> {
         Ok(TableGuards { guards })
     }
 
-    fn get(&self, name: &str) -> Option<&crate::table::Table> {
+    fn get(&self, name: &str) -> Option<&Table> {
         self.guards.iter().find(|(n, _)| n == name).map(|(_, g)| &**g)
     }
 }
@@ -516,12 +517,13 @@ fn exec_core_sched(
                 let src = &plan.sources[nsrc];
                 let use_batch = db.layout() == Layout::Column || !src.has_index(ncol);
                 let mut joined = Vec::new();
+                // `NULL` equals nothing, so a NULL key joins no row.
+                rows.retain(|row| !row[key_slot].is_null());
                 if use_batch {
                     // Batch join: one probe per distinct key.
                     let mut matches: HashMap<Value, Vec<u32>> = HashMap::new();
                     for row in &rows {
-                        let key = row[key_slot].clone();
-                        matches.entry(key).or_default();
+                        matches.entry(row[key_slot].clone()).or_default();
                     }
                     if src.has_index(ncol) {
                         for (key, ids) in matches.iter_mut() {
@@ -927,70 +929,102 @@ fn exec_with_recursive(
     exec_select_sched(db, tail, params, &env, scheds.get(body.cores.len()..).unwrap_or(&[]))
 }
 
-/// BFS execution of a reach-shaped recursive CTE over cached adjacency.
-///
-/// Reproduces the CTE's semantics exactly: depth-1 rows exist
-/// unconditionally (the base arms carry no depth filter), a depth-`d`
-/// frontier expands only while `d < max_depth`, and the answer is the
-/// `MIN(depth)` at which the target appears — the first BFS level
-/// containing it — or `NULL` when it never does. The start vertex is
-/// *not* pre-marked visited: `reach` never holds it at depth 0, so a
-/// cycle back to the start is a legitimate match.
+/// BFS execution of a reach-shaped recursive CTE: `MIN(depth)` is the
+/// shortest walk of at least one edge from start to target, or `NULL`
+/// when none is at most `max_depth` edges long. Depth-1 rows exist
+/// unconditionally (the base arms carry no depth filter), so the bound
+/// is never below 1.
 fn exec_reach_bfs(db: &Database, spec: &BfsSpec, params: &[Value]) -> Result<SqlResult> {
-    let columns = vec![spec.out_col.clone()];
     let start = const_eval(&spec.start, params)?;
     let target = const_eval(&spec.target, params)?;
-    let miss = SqlResult { columns: columns.clone(), rows: vec![vec![Value::Null]] };
+    let t = db.table(&spec.table)?.read();
+    let (src, dst) = (t.def.col(&spec.src_col)?, t.def.col(&spec.dst_col)?);
+    let depth = bfs_depth(&t, src, dst, &start, &target, spec.max_depth.max(1), spec.undirected);
+    let cell = depth.map_or(Value::Null, Value::Int);
+    Ok(SqlResult { columns: vec![spec.out_col.clone()], rows: vec![vec![cell]] })
+}
+
+/// Length of the shortest walk of at least one edge from `start` to
+/// `target` over the edge table `t(src, dst)` — both orientations when
+/// `undirected` — if it is at most `max` edges long. Neighbours come
+/// from probing the `src`/`dst` indexes under the caller's read guard;
+/// `NULL` endpoints never join.
+///
+/// When `start != target` the search is a bidirectional level BFS: it
+/// expands the smaller frontier (forward along edges from the start,
+/// backward from the target) and stops at the first level where the
+/// two sides meet. Every level is expanded completely before the next,
+/// so a first meet after `df` forward and `db` backward levels is a
+/// shortest path of `df + db + 1` edges. When `start == target` the
+/// answer is the shortest closed walk: a forward-only search with the
+/// start not pre-visited, whose match is the first edge back into it.
+fn bfs_depth(
+    t: &Table,
+    src: usize,
+    dst: usize,
+    start: &Value,
+    target: &Value,
+    max: i64,
+    undirected: bool,
+) -> Option<i64> {
     if start.is_null() || target.is_null() {
-        // NULL joins/compares to nothing; MIN over empty is NULL.
-        return Ok(miss);
+        return None;
     }
-    let adj = db.adjacency(&spec.table, &spec.src_col, &spec.dst_col)?;
-    let neighbors = |v: &Value, out: &mut Vec<Value>| {
-        if let Some(ns) = adj.fwd.get(v) {
-            out.extend(ns.iter().cloned());
-        }
-        if spec.undirected {
-            if let Some(ns) = adj.bwd.get(v) {
-                out.extend(ns.iter().cloned());
-            }
-        }
-    };
-    let mut visited: HashSet<Value> = HashSet::new();
-    let mut level: Vec<Value> = Vec::new();
-    let mut raw: Vec<Value> = Vec::new();
-    neighbors(&start, &mut raw);
-    for n in raw.drain(..) {
-        if visited.insert(n.clone()) {
-            level.push(n);
-        }
-    }
-    let mut depth: i64 = 1;
-    loop {
-        if level.iter().any(|n| cmp_vals(n, &target) == std::cmp::Ordering::Equal) {
-            return Ok(SqlResult { columns, rows: vec![vec![Value::Int(depth)]] });
-        }
-        if depth >= spec.max_depth || level.is_empty() {
-            return Ok(miss);
-        }
+    let both = [(src, dst), (dst, src)];
+    let (fwd_dirs, bwd_dirs) =
+        if undirected { (&both[..], &both[..]) } else { (&both[..1], &both[1..]) };
+    let closed = start == target;
+    let mut fwd_seen: HashSet<Value> = if closed { HashSet::new() } else { HashSet::from([start.clone()]) };
+    let mut bwd_seen: HashSet<Value> = HashSet::from([target.clone()]);
+    let (mut fwd, mut bwd) = (vec![start.clone()], vec![target.clone()]);
+    let (mut df, mut db) = (0i64, 0i64);
+    let mut ids = Vec::new();
+    while df + db < max {
+        let forward = closed || fwd.len() <= bwd.len();
+        let (frontier, dirs, seen, other) = if forward {
+            (&mut fwd, fwd_dirs, &mut fwd_seen, &bwd_seen)
+        } else {
+            (&mut bwd, bwd_dirs, &mut bwd_seen, &fwd_seen)
+        };
         let mut next = Vec::new();
-        for v in &level {
-            neighbors(v, &mut raw);
-            for n in raw.drain(..) {
-                if visited.insert(n.clone()) {
-                    next.push(n);
+        for v in frontier.iter() {
+            for &(by, read) in dirs {
+                ids.clear();
+                t.find(by, v, &mut ids);
+                for &r in &ids {
+                    let n = t.cell(r, read);
+                    if n.is_null() {
+                        continue;
+                    }
+                    if other.contains(n) {
+                        return Some(df + db + 1);
+                    }
+                    if seen.insert(n.clone()) {
+                        next.push(n.clone());
+                    }
                 }
             }
         }
-        level = next;
-        depth += 1;
+        if next.is_empty() {
+            return None;
+        }
+        *frontier = next;
+        if forward {
+            df += 1;
+        } else {
+            db += 1;
+        }
     }
+    None
 }
 
 // ---------------------------------------------------------------------------
 // TRANSITIVE (the Virtuoso-style graph extension)
 // ---------------------------------------------------------------------------
 
+/// `TRANSITIVE(table, from, to, max[, DIRECTED])` over the table's first
+/// two columns: `0` when the endpoints are equal, the shortest path
+/// length when it is at most `max`, and no row otherwise.
 fn exec_transitive(
     db: &Database,
     table: &str,
@@ -1007,42 +1041,16 @@ fn exec_transitive(
     }
     let from = const_eval(from, params)?;
     let to = const_eval(to, params)?;
-    let t = db.table(table)?.read();
     let columns = vec!["depth".to_string()];
     if cmp_vals(&from, &to) == std::cmp::Ordering::Equal {
         return Ok(SqlResult { columns, rows: vec![vec![Value::Int(0)]] });
     }
-    // BFS through the src/dst indexes.
-    let mut visited: HashSet<Value> = HashSet::from([from.clone()]);
-    let mut frontier: VecDeque<Value> = VecDeque::from([from]);
-    let mut ids = Vec::new();
-    for depth in 1..=max {
-        let mut next = VecDeque::new();
-        while let Some(v) = frontier.pop_front() {
-            ids.clear();
-            t.find(0, &v, &mut ids);
-            let out_ends: Vec<Value> = ids.iter().map(|&r| t.cell(r, 1).clone()).collect();
-            let mut in_ends: Vec<Value> = Vec::new();
-            if !directed {
-                ids.clear();
-                t.find(1, &v, &mut ids);
-                in_ends.extend(ids.iter().map(|&r| t.cell(r, 0).clone()));
-            }
-            for n in out_ends.into_iter().chain(in_ends) {
-                if cmp_vals(&n, &to) == std::cmp::Ordering::Equal {
-                    return Ok(SqlResult { columns, rows: vec![vec![Value::Int(depth as i64)]] });
-                }
-                if visited.insert(n.clone()) {
-                    next.push_back(n);
-                }
-            }
-        }
-        if next.is_empty() {
-            break;
-        }
-        frontier = next;
-    }
-    Ok(SqlResult { columns, rows: Vec::new() })
+    let t = db.table(table)?.read();
+    let rows = bfs_depth(&t, 0, 1, &from, &to, max as i64, !directed)
+        .map(|d| vec![Value::Int(d)])
+        .into_iter()
+        .collect();
+    Ok(SqlResult { columns, rows })
 }
 
 // ---------------------------------------------------------------------------
@@ -1091,7 +1099,6 @@ fn exec_insert(
         }
     }
     t.insert(row)?;
-    db.bump_write_seq();
     Ok(SqlResult { columns: vec!["inserted".into()], rows: vec![vec![Value::Int(1)]] })
 }
 
@@ -1138,9 +1145,6 @@ fn exec_update(
             t.update_cell(r, ix, v)?;
         }
         updated += 1;
-    }
-    if updated > 0 {
-        db.bump_write_seq();
     }
     Ok(SqlResult { columns: vec!["updated".into()], rows: vec![vec![Value::Int(updated)]] })
 }

@@ -11,11 +11,12 @@
 //! Recursive CTEs get one extra, SQL-specific rewrite: the reach-shaped
 //! shortest-path idiom (`WITH RECURSIVE reach(id, depth) AS (...)
 //! SELECT MIN(depth) ...`) is detected structurally and lowered to a
-//! breadth-first search over adjacency cached on the [`Database`]
-//! ([`BfsSpec`]), instead of re-joining the edge table against the
-//! delta once per semi-naive iteration. The BFS reproduces the CTE's
-//! semantics exactly — depth-1 rows appear unconditionally, expansion
-//! requires `depth < N`, and the answer is `MIN(depth)` or `NULL`.
+//! bidirectional breadth-first search that probes the edge table's
+//! `src`/`dst` indexes ([`BfsSpec`]), instead of re-joining the edge
+//! table against the delta once per semi-naive iteration. The BFS
+//! reproduces the CTE's semantics exactly — depth-1 rows appear
+//! unconditionally, expansion requires `depth < N`, and the answer is
+//! `MIN(depth)` or `NULL`.
 
 use snb_core::Value;
 use snb_plan::{
@@ -72,13 +73,13 @@ impl PlanStats for DbStats<'_> {
     }
 
     fn table_indexed(&self, table: &str, col: &str) -> bool {
-        match self.db.table(table) {
-            Ok(lock) => {
-                let t = lock.read();
-                t.def.col(col).map(|ix| t.has_index(ix)).unwrap_or(false)
-            }
-            Err(_) => false,
-        }
+        self.table_distinct(table, col).is_some()
+    }
+
+    fn table_distinct(&self, table: &str, col: &str) -> Option<f64> {
+        let t = self.db.table(table).ok()?.read();
+        let ix = t.def.col(col).ok()?;
+        t.distinct_keys(ix).map(|n| n as f64)
     }
 }
 
@@ -103,9 +104,9 @@ pub(crate) fn build_entry(db: &Database, stmt: Stmt) -> Arc<SqlPlanEntry> {
             bfs = detect_reach_bfs(db, name, cols, body, tail);
             if let Some(spec) = &bfs {
                 explain = format!(
-                    "plan (sql)\n  1. RecursiveBFS {} ({}, max depth {})  [adjacency cache]  \
+                    "plan (sql)\n  1. RecursiveBFS {} ({}, max depth {})  [bidirectional index BFS]  \
                      -> {}\nrewrites (1 pass):\n  [optimize] recursive_bfs: reach-shaped CTE \
-                     lowered to cached-adjacency BFS\n",
+                     lowered to a bidirectional BFS over the src/dst indexes\n",
                     spec.table,
                     if spec.undirected { "undirected" } else { "directed" },
                     spec.max_depth,
@@ -694,14 +695,14 @@ mod tests {
     }
 
     #[test]
-    fn bfs_sees_writes_through_cache_invalidation() {
+    fn bfs_sees_writes_between_queries() {
         let db = Database::new_snb(Layout::Row);
         knows(&db, 1, 2);
         knows(&db, 3, 4);
         let params = [Value::Int(1), Value::Int(4)];
         assert_eq!(db.sql(SP, &params).unwrap().rows, vec![vec![Value::Null]]);
-        // Bridge the components through SQL INSERT; the adjacency
-        // cache must rebuild, not serve the stale graph.
+        // Bridge the components through SQL INSERT; the cached plan
+        // must read the live indexes, not the graph it was planned on.
         db.sql("INSERT INTO person_knows_person (src, dst) VALUES ($1, $2)", &[Value::Int(2), Value::Int(3)])
             .unwrap();
         assert_eq!(db.sql(SP, &params).unwrap().rows, vec![vec![Value::Int(3)]]);

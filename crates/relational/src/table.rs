@@ -206,6 +206,13 @@ impl Table {
         self.indexes.contains_key(&col)
     }
 
+    /// Distinct keys in the column's index (`None` when unindexed). A
+    /// key whose rows were all updated away still counts, so this is
+    /// an upper bound — plenty for a cost estimate.
+    pub fn distinct_keys(&self, col: usize) -> Option<usize> {
+        self.indexes.get(&col).map(|idx| idx.len())
+    }
+
     /// All row ids (scan order).
     pub fn all_rows(&self) -> impl Iterator<Item = u32> {
         0..self.n_rows as u32

@@ -10,30 +10,66 @@ use proptest::prelude::*;
 use snb_core::Value;
 use snb_relational::{Database, Layout};
 
+/// What a template binds to `$2`.
+#[derive(Clone, Copy)]
+enum Second {
+    /// A person id (valid or dangling).
+    Id,
+    /// Each of [`NAMES`] in turn.
+    Name,
+}
+
+/// First names matching no person, exactly one, and several (for
+/// seven or more persons; see [`build`]).
+const NAMES: [&str; 3] = ["zz", "solo", "nb"];
+
 /// Templates covering the optimizer's SQL surface: index scan
 /// selection (`scan_strategy`), cost-based source ordering
 /// (`join_order`), filter placement (`predicate_pushdown`), projection
-/// pruning, union arms, aggregates, and the reach-CTE BFS rewrite.
-const TEMPLATES: &[&str] = &[
-    "SELECT firstName FROM person WHERE id = $1",
-    "SELECT p.id, p.firstName FROM person_knows_person k \
-     JOIN person p ON p.id = k.dst WHERE k.src = $1",
-    "SELECT p.firstName FROM person p \
-     JOIN person_knows_person k ON k.src = p.id WHERE k.dst = $1",
-    "SELECT DISTINCT k2.dst FROM person_knows_person k1 \
-     JOIN person_knows_person k2 ON k2.src = k1.dst WHERE k1.src = $1",
-    "SELECT p.id FROM person_knows_person k JOIN person p ON p.id = k.dst WHERE k.src = $1 \
-     UNION \
-     SELECT p.id FROM person_knows_person k JOIN person p ON p.id = k.src WHERE k.dst = $1",
-    "SELECT COUNT(*), MIN(dst), MAX(dst) FROM person_knows_person WHERE src = $1",
-    "WITH RECURSIVE reach(id, depth) AS ( \
-       SELECT dst, 1 FROM person_knows_person WHERE src = $1 \
-       UNION SELECT src, 1 FROM person_knows_person WHERE dst = $1 \
-       UNION SELECT k.dst, r.depth + 1 FROM reach r \
-             JOIN person_knows_person k ON k.src = r.id WHERE r.depth < 4 \
-       UNION SELECT k.src, r.depth + 1 FROM reach r \
-             JOIN person_knows_person k ON k.dst = r.id WHERE r.depth < 4 \
-     ) SELECT MIN(depth) FROM reach WHERE id = $2",
+/// pruning, union arms, aggregates, the firstName-filtered two-hop arm
+/// of Complex2Hop, and the reach-CTE BFS rewrite.
+const TEMPLATES: &[(&str, Second)] = &[
+    ("SELECT firstName FROM person WHERE id = $1", Second::Id),
+    (
+        "SELECT p.id, p.firstName FROM person_knows_person k \
+         JOIN person p ON p.id = k.dst WHERE k.src = $1",
+        Second::Id,
+    ),
+    (
+        "SELECT p.firstName FROM person p \
+         JOIN person_knows_person k ON k.src = p.id WHERE k.dst = $1",
+        Second::Id,
+    ),
+    (
+        "SELECT DISTINCT k2.dst FROM person_knows_person k1 \
+         JOIN person_knows_person k2 ON k2.src = k1.dst WHERE k1.src = $1",
+        Second::Id,
+    ),
+    (
+        "SELECT p.id FROM person_knows_person k JOIN person p ON p.id = k.dst WHERE k.src = $1 \
+         UNION \
+         SELECT p.id FROM person_knows_person k JOIN person p ON p.id = k.src WHERE k.dst = $1",
+        Second::Id,
+    ),
+    ("SELECT COUNT(*), MIN(dst), MAX(dst) FROM person_knows_person WHERE src = $1", Second::Id),
+    (
+        "SELECT p.id, p.lastName, p.birthday FROM person_knows_person k1 \
+         JOIN person_knows_person k2 ON k2.src = k1.dst \
+         JOIN person p ON p.id = k2.dst \
+         WHERE k1.src = $1 AND k2.dst <> $1 AND p.firstName = $2",
+        Second::Name,
+    ),
+    (
+        "WITH RECURSIVE reach(id, depth) AS ( \
+           SELECT dst, 1 FROM person_knows_person WHERE src = $1 \
+           UNION SELECT src, 1 FROM person_knows_person WHERE dst = $1 \
+           UNION SELECT k.dst, r.depth + 1 FROM reach r \
+                 JOIN person_knows_person k ON k.src = r.id WHERE r.depth < 4 \
+           UNION SELECT k.src, r.depth + 1 FROM reach r \
+                 JOIN person_knows_person k ON k.dst = r.id WHERE r.depth < 4 \
+         ) SELECT MIN(depth) FROM reach WHERE id = $2",
+        Second::Id,
+    ),
 ];
 
 fn build(layout: Layout, persons: u8, edges: &[(u8, u8)]) -> Database {
@@ -43,7 +79,8 @@ fn build(layout: Layout, persons: u8, edges: &[(u8, u8)]) -> Database {
     for i in 0..persons {
         let mut row = vec![Value::Null; pdef.arity()];
         row[0] = Value::Int(i as i64);
-        row[name_ix] = Value::str(&format!("n{}", (b'a' + i % 5) as char));
+        let name = if i == 0 { "solo".to_string() } else { format!("n{}", (b'a' + i % 5) as char) };
+        row[name_ix] = Value::str(&name);
         db.insert_row("person", row).unwrap();
     }
     let kdef = db.table_def("person_knows_person").unwrap();
@@ -80,19 +117,25 @@ proptest! {
                 .enumerate()
                 .map(|(i, &s)| if i == 3 { persons as i64 + 7 } else { (s % persons) as i64 })
                 .collect();
-            for template in TEMPLATES {
+            for &(template, second) in TEMPLATES {
+                let seconds: Vec<Value> = match second {
+                    Second::Id => vec![Value::Int(ids[0])],
+                    Second::Name => NAMES.iter().map(|n| Value::str(n)).collect(),
+                };
                 for &id in &ids {
-                    let params = [Value::Int(id), Value::Int(ids[0])];
-                    let optimized = db.sql(template, &params).unwrap();
-                    let naive = db.sql_naive(template, &params).unwrap();
-                    prop_assert_eq!(
-                        &optimized.columns, &naive.columns,
-                        "columns diverge for `{}`", template
-                    );
-                    prop_assert_eq!(
-                        sorted(optimized.rows), sorted(naive.rows),
-                        "rows diverge for `{}` (id={}, layout={:?})", template, id, layout
-                    );
+                    for p2 in &seconds {
+                        let params = [Value::Int(id), p2.clone()];
+                        let optimized = db.sql(template, &params).unwrap();
+                        let naive = db.sql_naive(template, &params).unwrap();
+                        prop_assert_eq!(
+                            &optimized.columns, &naive.columns,
+                            "columns diverge for `{}`", template
+                        );
+                        prop_assert_eq!(
+                            sorted(optimized.rows), sorted(naive.rows),
+                            "rows diverge for `{}` (params={:?}, layout={:?})", template, params, layout
+                        );
+                    }
                 }
             }
         }

@@ -215,6 +215,27 @@ fn select_star_projects_all_columns() {
 }
 
 #[test]
+fn inner_join_never_matches_null_keys() {
+    for db in both() {
+        // 7 -> NULL and NULL -> 8: were NULL = NULL true, 7 would reach 8.
+        for (a, b) in [(Value::Int(7), Value::Null), (Value::Null, Value::Int(8))] {
+            db.sql("INSERT INTO person_knows_person (src, dst) VALUES ($1, $2)", &[a, b]).unwrap();
+        }
+        // Person 20 has NULL firstName and lastName (neither indexed).
+        db.sql("INSERT INTO person (id) VALUES ($1)", &[Value::Int(20)]).unwrap();
+        let indexed = "SELECT k1.dst, k2.src FROM person_knows_person k1 \
+                       JOIN person_knows_person k2 ON k2.src = k1.dst";
+        let hashed = "SELECT a.firstName, b.lastName FROM person a JOIN person b ON b.lastName = a.firstName";
+        for (query, expect) in [(indexed, 4), (hashed, 0)] {
+            for r in [db.sql(query, &[]).unwrap(), db.sql_naive(query, &[]).unwrap()] {
+                assert_eq!(r.len(), expect, "`{query}` on {:?}: {:?}", db.layout(), r.rows);
+                assert!(r.rows.iter().flatten().all(|v| !v.is_null()), "NULL key joined: {:?}", r.rows);
+            }
+        }
+    }
+}
+
+#[test]
 fn union_all_keeps_duplicates() {
     for db in both() {
         let r = db
