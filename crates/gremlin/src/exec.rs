@@ -15,10 +15,18 @@
 //! (`SNB_TRAVERSAL_WORKERS`); results are concatenated in morsel order,
 //! so parallel execution is deterministic.
 //!
-//! `repeat().until()` shortest path keeps its simple-path semantics: it
-//! is still an exponential path search bounded by the traverser budget
-//! (the Table 3 "unable to complete" dashes), but each BFS level now
-//! expands every *distinct* path head exactly once.
+//! `repeat().until()` shortest path keeps TinkerPop's simple-path
+//! semantics: a level-order enumeration of every simple path, returning
+//! the first one that reaches the target and bounded by the traverser
+//! budget (the Table 3 "unable to complete" dashes). Paths live in one
+//! parent-pointer arena (an entry per path, no per-path `Vec`), and a
+//! single-step `out`/`in`/`both` body expands each head only when the
+//! fan-out reaches it, so nothing after the target hit is expanded:
+//! over a pinned snapshot it reads the head's CSR ranges in place, on
+//! the live API it memoises one `neighbors` call per head and level.
+//! Other bodies still expand a whole level eagerly, in first-occurrence
+//! head order. [`repeat_paths_created`] and [`repeat_heads_expanded`]
+//! count the search's work.
 //!
 //! Mutating steps (`addV`/`addE`/`property`) drop the pinned snapshot
 //! for the rest of the traversal, so reads after a write inside one
@@ -26,8 +34,10 @@
 
 use snb_core::{CsrSnapshot, Direction, EdgeLabel, GraphBackend, Result, SnbError, Value, Vid};
 use snb_core::{FastMap, FastSet};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::sync::OnceLock;
+use std::thread::LocalKey;
 
 use crate::traversal::{fuse_groups, FuseGroup, Step, Traversal};
 
@@ -35,6 +45,31 @@ use crate::traversal::{fuse_groups, FuseGroup, Step, Traversal};
 /// aborts the traversal with `Overloaded` (the Table 3 "unable to
 /// complete" dashes).
 pub const TRAVERSER_BUDGET: usize = 2_000_000;
+
+thread_local! {
+    static PATHS_CREATED: Cell<u64> = const { Cell::new(0) };
+    static HEADS_EXPANDED: Cell<u64> = const { Cell::new(0) };
+}
+
+fn note(counter: &'static LocalKey<Cell<u64>>, n: usize) {
+    counter.with(|c| c.set(c.get() + n as u64));
+}
+
+/// Paths the calling thread's `repeat().until()` searches have created
+/// by extending a head with one more vertex (starts excluded, the path
+/// that hits the target included). Monotonic; the difference of two
+/// reads around a traversal is what that traversal created.
+pub fn repeat_paths_created() -> u64 {
+    PATHS_CREATED.with(Cell::get)
+}
+
+/// Neighbour lists the calling thread's `repeat().until()` searches
+/// have fetched: one per fanned-out path over a pinned snapshot, one per
+/// distinct head and level on the live API and for multi-step bodies.
+/// Monotonic, like [`repeat_paths_created`].
+pub fn repeat_heads_expanded() -> u64 {
+    HEADS_EXPANDED.with(Cell::get)
+}
 
 /// Intra-query parallelism knobs. `workers` > 1 enables morsel-driven
 /// frontier expansion; `morsel_min` is the frontier size below which
@@ -257,7 +292,8 @@ fn exec_fused(snap: &CsrSnapshot, steps: &[Step], set: &[Bulk], cap: usize) -> F
                 // filtering on the unfused path.
                 rows.retain(|&(r, _)| snap.prop(r, *key).is_some_and(|v| pred.test(&v)));
             }
-            other => unreachable!("non-fusable step in fused group: {other:?}"),
+            // `fuse_groups` never emits one; run the group unfused.
+            _ => return FusedRun::Bail,
         }
         let total: u64 = rows.iter().map(|&(_, n)| n).sum();
         if total > cap as u64 {
@@ -401,7 +437,10 @@ fn expand_morsels<B: GraphBackend + ?Sized>(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("morsel worker panicked")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|_| Err(SnbError::Exec("morsel worker panicked".into()))))
+            .collect()
     });
     let mut raw = Vec::new();
     for p in parts {
@@ -686,9 +725,13 @@ fn apply_step<B: GraphBackend + ?Sized>(
 
 /// The `repeat(body.simplePath()).until(hasId(target))` loop. Returns a
 /// path traverser for the first target hit; BFS level order, so that
-/// first hit is a shortest path. Each level expands every *distinct*
-/// path head exactly once (morsel-parallel for plain `out`/`in`/`both`
-/// bodies) and paths then fan out over the precomputed adjacency.
+/// first hit is a shortest path.
+///
+/// Starts are taken in `set` order, one path per entry (bulk ignored).
+/// Single-step `out`/`in`/`both` bodies run in CSR row space when a
+/// snapshot is pinned and every start has a row; otherwise (and for
+/// any other body) the search runs on vertex ids through
+/// [`VidHeads`].
 fn repeat_until<B: GraphBackend + ?Sized>(
     ctx: &mut Ctx<'_, B>,
     set: &[Bulk],
@@ -696,136 +739,202 @@ fn repeat_until<B: GraphBackend + ?Sized>(
     until: Vid,
     max_loops: u32,
 ) -> Result<Vec<Bulk>> {
-    let mut paths: Vec<Vec<Vid>> = Vec::new();
+    let mut starts: Vec<Vid> = Vec::with_capacity(set.len());
     for b in set {
         let v = vertex_of(&b.tr)?;
         if v == until {
             return Ok(vec![Bulk { tr: Traverser::Path(vec![v]), n: 1 }]);
         }
-        paths.push(vec![v]);
+        starts.push(v);
     }
-    // A body that is a single pure expansion step (the shortest-path
-    // idiom) expands heads directly off the CSR; anything else runs the
-    // bulk pipeline per head.
     let fast: Option<(Direction, Option<EdgeLabel>)> = match body {
         [Step::Out(l)] => Some((Direction::Out, *l)),
         [Step::In(l)] => Some((Direction::In, *l)),
         [Step::Both(l)] => Some((Direction::Both, *l)),
         _ => None,
     };
-    for _ in 0..max_loops {
-        let mut head_ix: FastMap<Vid, u32> = FastMap::default();
-        let mut heads: Vec<Vid> = Vec::new();
-        for p in &paths {
-            let h = *p.last().expect("paths are non-empty");
-            head_ix.entry(h).or_insert_with(|| {
-                heads.push(h);
-                (heads.len() - 1) as u32
-            });
+    let in_rows = match (fast, ctx.snap.clone()) {
+        (Some((dir, label)), Some(snap)) => starts
+            .iter()
+            .map(|&v| snap.row_of(v))
+            .collect::<Option<Vec<u32>>>()
+            .map(|rows| (RowHeads { snap, dir, label, buf: Vec::new() }, rows)),
+        _ => None,
+    };
+    let path: Option<Vec<Vid>> = match in_rows {
+        Some((mut heads, rows)) => {
+            let until_row = heads.snap.row_of(until);
+            search(&mut heads, &rows, until_row, max_loops)?
+                .map(|p| p.into_iter().map(|r| heads.snap.vid_of(r)).collect())
         }
-        let adj = level_adjacency(ctx, &heads, fast, body)?;
-        let mut next: Vec<Vec<Vid>> = Vec::new();
-        for path in &paths {
-            let h = *path.last().expect("paths are non-empty");
-            for &v in &adj[head_ix[&h] as usize] {
-                if path.contains(&v) {
-                    continue; // simplePath()
-                }
-                let mut new_path = path.clone();
-                new_path.push(v);
-                if v == until {
-                    return Ok(vec![Bulk { tr: Traverser::Path(new_path), n: 1 }]);
-                }
-                next.push(new_path);
+        None => search(&mut VidHeads::new(ctx, body, fast), &starts, Some(until), max_loops)?,
+    };
+    Ok(path.map(|p| vec![Bulk { tr: Traverser::Path(p), n: 1 }]).unwrap_or_default())
+}
+
+/// Parent index of a start path in the search arena.
+const ROOT: u32 = u32::MAX;
+
+/// Source of neighbour lists for [`search`], one head at a time.
+trait Heads<H> {
+    /// Called with every path of a level before that level fans out.
+    fn begin_level(&mut self, _level: &[(u32, H)]) -> Result<()> {
+        Ok(())
+    }
+
+    /// The head's neighbours in adjacency order, as at most two slices
+    /// (`both()` reads the out range, then the in range).
+    fn neighbors(&mut self, head: H) -> Result<[&[H]; 2]>;
+}
+
+/// Level-order simple-path enumeration over a parent-pointer arena: one
+/// `(parent index, head)` entry per path, so extending a path is one
+/// push instead of a `Vec` clone. Level `k` is a contiguous arena range
+/// and paths fan out in arena order, which is the order the per-path
+/// `Vec` version produced. The budget is checked after each path's
+/// fan-out against the size of the level being built.
+fn search<H: Copy + PartialEq, X: Heads<H>>(
+    heads: &mut X,
+    starts: &[H],
+    until: Option<H>,
+    max_loops: u32,
+) -> Result<Option<Vec<H>>> {
+    let mut arena: Vec<(u32, H)> = starts.iter().map(|&h| (ROOT, h)).collect();
+    let mut on_path: Vec<H> = Vec::new();
+    let mut lo = 0;
+    let created = |arena: &Vec<(u32, H)>| note(&PATHS_CREATED, arena.len() - starts.len());
+    for _ in 0..max_loops {
+        let hi = arena.len();
+        if lo == hi {
+            break;
+        }
+        heads.begin_level(&arena[lo..hi])?;
+        for ix in lo..hi {
+            on_path.clear();
+            let mut at = ix as u32;
+            while at != ROOT {
+                let (parent, h) = arena[at as usize];
+                on_path.push(h);
+                at = parent;
             }
-            if next.len() > TRAVERSER_BUDGET {
+            for part in heads.neighbors(on_path[0])? {
+                for &v in part {
+                    if on_path.contains(&v) {
+                        continue; // simplePath()
+                    }
+                    arena.push((ix as u32, v));
+                    if until == Some(v) {
+                        created(&arena);
+                        on_path.reverse();
+                        on_path.push(v);
+                        return Ok(Some(on_path));
+                    }
+                }
+            }
+            let level = arena.len() - hi;
+            if level > TRAVERSER_BUDGET || arena.len() >= ROOT as usize {
+                created(&arena);
                 return Err(SnbError::Overloaded(format!(
-                    "repeat/until exceeded the traverser budget ({} paths)",
-                    next.len()
+                    "repeat/until exceeded the traverser budget ({level} paths)"
                 )));
             }
         }
-        if next.is_empty() {
-            break;
-        }
-        paths = next;
+        lo = hi;
     }
-    Ok(Vec::new())
+    created(&arena);
+    Ok(None)
 }
 
-/// Per-head neighbour lists for one repeat level.
-fn level_adjacency<B: GraphBackend + ?Sized>(
-    ctx: &mut Ctx<'_, B>,
-    heads: &[Vid],
-    fast: Option<(Direction, Option<EdgeLabel>)>,
-    body: &[Step],
-) -> Result<Vec<Vec<Vid>>> {
-    if let Some((dir, label)) = fast {
-        if heads.len() >= ctx.cfg.morsel_min && ctx.cfg.workers > 1 {
-            return level_morsels(ctx, heads, dir, label);
-        }
-        let mut rows: Vec<u32> = Vec::new();
-        let mut out = Vec::with_capacity(heads.len());
-        for &h in heads {
-            let mut vids: Vec<Vid> = Vec::new();
-            neighbors_into_vids(ctx.backend, ctx.snap.as_deref(), h, dir, label, &mut rows, &mut vids)?;
-            out.push(vids);
-        }
-        return Ok(out);
-    }
-    // General body: run the bulk pipeline from each head (sequential —
-    // an arbitrary body may mutate and needs the shared context).
-    let mut out = Vec::with_capacity(heads.len());
-    for &h in heads {
-        let mut frontier = vec![Bulk { tr: Traverser::Vertex(h), n: 1 }];
-        for step in body {
-            frontier = apply_step(ctx, step, frontier)?;
-        }
-        let mut vids: Vec<Vid> = Vec::new();
-        for b in frontier {
-            let v = vertex_of(&b.tr)?;
-            for _ in 0..b.n {
-                vids.push(v);
-            }
-        }
-        out.push(vids);
-    }
-    Ok(out)
-}
-
-fn level_morsels<B: GraphBackend + ?Sized>(
-    ctx: &Ctx<'_, B>,
-    heads: &[Vid],
+/// Row-space heads for a single-step body over a pinned snapshot: each
+/// fan-out reads the head's CSR ranges in place.
+struct RowHeads {
+    snap: Arc<CsrSnapshot>,
     dir: Direction,
     label: Option<EdgeLabel>,
-) -> Result<Vec<Vec<Vid>>> {
-    let workers = ctx.cfg.workers.min(heads.len()).max(1);
-    let chunk = heads.len().div_ceil(workers);
-    let backend = ctx.backend;
-    let snap = ctx.snap.as_deref();
-    let parts: Vec<Result<Vec<Vec<Vid>>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = heads
-            .chunks(chunk)
-            .map(|part| {
-                s.spawn(move || -> Result<Vec<Vec<Vid>>> {
-                    let mut rows: Vec<u32> = Vec::new();
-                    let mut out = Vec::with_capacity(part.len());
-                    for &h in part {
-                        let mut vids: Vec<Vid> = Vec::new();
-                        neighbors_into_vids(backend, snap, h, dir, label, &mut rows, &mut vids)?;
-                        out.push(vids);
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("morsel worker panicked")).collect()
-    });
-    let mut out = Vec::with_capacity(heads.len());
-    for p in parts {
-        out.extend(p?);
+    /// Scratch for label-less bodies, which span every label's range.
+    buf: Vec<u32>,
+}
+
+impl Heads<u32> for RowHeads {
+    fn neighbors(&mut self, row: u32) -> Result<[&[u32]; 2]> {
+        note(&HEADS_EXPANDED, 1);
+        let s = &*self.snap;
+        Ok(match (self.label, self.dir) {
+            (Some(l), Direction::Both) => [s.range(row, Direction::Out, l), s.range(row, Direction::In, l)],
+            (Some(l), d) => [s.range(row, d, l), &[]],
+            (None, d) => {
+                self.buf.clear();
+                s.neighbors_into(row, d, None, &mut self.buf);
+                [self.buf.as_slice(), &[]]
+            }
+        })
     }
-    Ok(out)
+}
+
+/// Vertex-id heads. A single-step body fetches a head's neighbours the
+/// first time the fan-out reaches it and memoises them for the rest of
+/// the level, so a head costs at most one backend call per level. Any
+/// other body (which may mutate) runs the step pipeline from every
+/// distinct head of a level, in first-occurrence order, before the
+/// level fans out.
+struct VidHeads<'c, 'a, B: GraphBackend + ?Sized> {
+    ctx: &'c mut Ctx<'a, B>,
+    body: &'c [Step],
+    fast: Option<(Direction, Option<EdgeLabel>)>,
+    /// Head -> its range in `adj`, for the current level.
+    index: FastMap<Vid, (usize, usize)>,
+    adj: Vec<Vid>,
+    rows: Vec<u32>,
+}
+
+impl<'c, 'a, B: GraphBackend + ?Sized> VidHeads<'c, 'a, B> {
+    fn new(ctx: &'c mut Ctx<'a, B>, body: &'c [Step], fast: Option<(Direction, Option<EdgeLabel>)>) -> Self {
+        VidHeads { ctx, body, fast, index: FastMap::default(), adj: Vec::new(), rows: Vec::new() }
+    }
+}
+
+impl<B: GraphBackend + ?Sized> Heads<Vid> for VidHeads<'_, '_, B> {
+    fn begin_level(&mut self, level: &[(u32, Vid)]) -> Result<()> {
+        self.index.clear();
+        self.adj.clear();
+        if self.fast.is_some() {
+            return Ok(());
+        }
+        for &(_, h) in level {
+            if self.index.contains_key(&h) {
+                continue;
+            }
+            note(&HEADS_EXPANDED, 1);
+            let mut frontier = vec![Bulk { tr: Traverser::Vertex(h), n: 1 }];
+            for step in self.body {
+                frontier = apply_step(self.ctx, step, frontier)?;
+            }
+            let a = self.adj.len();
+            for b in frontier {
+                let v = vertex_of(&b.tr)?;
+                self.adj.extend((0..b.n).map(|_| v));
+            }
+            self.index.insert(h, (a, self.adj.len()));
+        }
+        Ok(())
+    }
+
+    fn neighbors(&mut self, h: Vid) -> Result<[&[Vid]; 2]> {
+        let (a, b) = match (self.index.get(&h), self.fast) {
+            (Some(&r), _) => r,
+            (None, Some((dir, label))) => {
+                note(&HEADS_EXPANDED, 1);
+                let a = self.adj.len();
+                let snap = self.ctx.snap.as_deref();
+                neighbors_into_vids(self.ctx.backend, snap, h, dir, label, &mut self.rows, &mut self.adj)?;
+                let r = (a, self.adj.len());
+                self.index.insert(h, r);
+                r
+            }
+            (None, None) => return Err(SnbError::Exec(format!("repeat head {h:?} missing from its level"))),
+        };
+        Ok([&self.adj[a..b], &[]])
+    }
 }
 
 #[cfg(test)]

@@ -31,7 +31,10 @@ pub mod server;
 pub mod traversal;
 pub mod wire;
 
-pub use exec::{execute, execute_capped, execute_with, ExecConfig, TRAVERSER_BUDGET};
+pub use exec::{
+    execute, execute_capped, execute_with, repeat_heads_expanded, repeat_paths_created, ExecConfig,
+    TRAVERSER_BUDGET,
+};
 pub use frontier::{decode_frontier, encode_frontier, execute_frontier, FrontierRequest};
 pub use server::{
     default_workers, GremlinClient, GremlinServer, RawSubmitter, ReplySink, ServerConfig,

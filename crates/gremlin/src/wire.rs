@@ -12,11 +12,32 @@ use crate::traversal::{Predicate, Step, Traversal};
 use snb_core::ids::VERTEX_LABELS;
 use snb_core::{EdgeLabel, PropKey, Result, SnbError, Value, VertexLabel, Vid};
 
+/// Deepest nesting of `repeat` bodies and list values a frame may
+/// carry. Decoding recurses once per level, so an uncapped depth lets a
+/// small frame overflow the decoding thread's stack.
+const MAX_NESTING: u32 = 32;
+
 struct Reader<'a> {
     data: &'a [u8],
+    /// Current nesting depth of `repeat` bodies and list values.
+    depth: u32,
 }
 
 impl<'a> Reader<'a> {
+    fn new(data: &'a [u8]) -> Self {
+        Reader { data, depth: 0 }
+    }
+
+    /// Enter one nesting level, failing past [`MAX_NESTING`]; pair with
+    /// `self.depth -= 1` on the way out.
+    fn nest(&mut self) -> Result<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(SnbError::Codec(format!("gremlin frame nests deeper than {MAX_NESTING}")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.data.len() < n {
             return Err(SnbError::Codec("truncated gremlin frame".into()));
@@ -122,10 +143,12 @@ fn get_value(r: &mut Reader<'_>) -> Result<Value> {
         6 => Value::Vertex(r.vid()?),
         7 => {
             let n = r.u32()? as usize;
+            r.nest()?;
             let mut items = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
                 items.push(get_value(r)?);
             }
+            r.depth -= 1;
             Value::List(items)
         }
         other => return Err(SnbError::Codec(format!("unknown value tag {other}"))),
@@ -142,7 +165,7 @@ fn put_props(props: &[(PropKey, Value)], out: &mut Vec<u8>) {
 
 fn get_props(r: &mut Reader<'_>) -> Result<Vec<(PropKey, Value)>> {
     let n = r.u16()? as usize;
-    let mut props = Vec::with_capacity(n);
+    let mut props = Vec::with_capacity(n.min(4096));
     for _ in 0..n {
         let k = r.prop_key()?;
         props.push((k, get_value(r)?));
@@ -316,10 +339,12 @@ fn get_step(r: &mut Reader<'_>) -> Result<Step> {
         }
         18 => {
             let n = r.u16()? as usize;
-            let mut body = Vec::with_capacity(n);
+            r.nest()?;
+            let mut body = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
                 body.push(get_step(r)?);
             }
+            r.depth -= 1;
             let until = r.vid()?;
             let max_loops = r.u32()?;
             Step::RepeatUntil { body, until, max_loops }
@@ -356,7 +381,7 @@ pub fn encode_traversal(t: &Traversal) -> Vec<u8> {
 
 /// Decode a request traversal from the wire format.
 pub fn decode_traversal(data: &[u8]) -> Result<Traversal> {
-    let mut r = Reader { data };
+    let mut r = Reader::new(data);
     let n = r.u16()? as usize;
     let mut steps = Vec::with_capacity(n);
     for _ in 0..n {
@@ -405,7 +430,7 @@ pub fn encode_error(e: &SnbError) -> Vec<u8> {
 /// Decode a typed error frame payload back into the [`SnbError`] it
 /// carries. The outer `Err` means the frame itself was malformed.
 pub fn decode_error(data: &[u8]) -> Result<SnbError> {
-    let mut r = Reader { data };
+    let mut r = Reader::new(data);
     let tag = r.u8()?;
     let len = r.u32()? as usize;
     let raw = r.take(len)?;
@@ -432,7 +457,7 @@ pub fn decode_error(data: &[u8]) -> Result<SnbError> {
 
 /// Decode a response value list from the wire format.
 pub fn decode_values(data: &[u8]) -> Result<Vec<Value>> {
-    let mut r = Reader { data };
+    let mut r = Reader::new(data);
     let n = r.u32()? as usize;
     let mut values = Vec::with_capacity(n.min(4096));
     for _ in 0..n {

@@ -82,3 +82,62 @@ fn string_length_past_end_of_buffer_is_rejected() {
     let r = wire::decode_values(&bad);
     assert!(matches!(r, Err(SnbError::Codec(_))), "{r:?}");
 }
+
+/// Run `f` on a thread with a 2 MiB stack, the size of a default
+/// spawned thread (the reactor's loops run on such threads).
+fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn decoder thread")
+        .join()
+        .expect("decoder thread")
+}
+
+/// One top-level step: 200,000 one-step `repeat` bodies nested inside
+/// each other around a `count()`. Each level is well-formed, so only a
+/// depth cap stops the decoder recursing 200,000 frames deep.
+#[test]
+fn deeply_nested_repeat_bodies_error_instead_of_overflowing_the_stack() {
+    const DEPTH: usize = 200_000;
+    let mut bytes = 1u16.to_le_bytes().to_vec();
+    for _ in 0..DEPTH {
+        bytes.push(18); // RepeatUntil tag
+        bytes.extend_from_slice(&1u16.to_le_bytes()); // one body step
+    }
+    bytes.push(16); // Count
+    for _ in 0..DEPTH {
+        bytes.extend_from_slice(&0u64.to_le_bytes()); // until
+        bytes.extend_from_slice(&1u32.to_le_bytes()); // max_loops
+    }
+    let r = on_small_stack(move || wire::decode_traversal(&bytes));
+    assert!(matches!(r, Err(SnbError::Codec(_))), "{r:?}");
+}
+
+/// Same for values: a list holding a list holding ... a null, 200,000
+/// levels deep.
+#[test]
+fn deeply_nested_list_values_error_instead_of_overflowing_the_stack() {
+    const DEPTH: usize = 200_000;
+    let mut bytes = 1u32.to_le_bytes().to_vec();
+    for _ in 0..DEPTH {
+        bytes.push(7); // List tag
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+    }
+    bytes.push(0); // Null
+    let r = on_small_stack(move || wire::decode_values(&bytes));
+    assert!(matches!(r, Err(SnbError::Codec(_))), "{r:?}");
+}
+
+/// Lists nested 32 deep still round-trip; 33 deep is a codec error.
+#[test]
+fn nesting_cap_is_exactly_32_levels() {
+    let mut v = Value::Int(7);
+    for _ in 0..32 {
+        v = Value::List(vec![v]);
+    }
+    let values = vec![v.clone()];
+    assert_eq!(wire::decode_values(&wire::encode_values(&values)).unwrap(), values);
+    let deeper = wire::encode_values(&[Value::List(vec![v])]);
+    assert!(matches!(wire::decode_values(&deeper), Err(SnbError::Codec(_))));
+}
