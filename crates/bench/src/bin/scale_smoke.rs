@@ -1,20 +1,20 @@
 //! CI smoke gate for the million-vertex scale pipeline: runs the full
 //! streaming build (generator → bulk load + partitioned ingest drain →
-//! CSR fold) at a CI-sized person count and asserts the invariants the
-//! real 1M-person bench run is gated on — a clean drain, a CSR that
-//! covers every vertex, the memory-accounting ceiling on adjacency
-//! bytes, and live complex-read operators.
+//! CSR fold) at a CI-sized person count and asserts its invariants —
+//! a clean drain, a CSR that covers every vertex, the
+//! memory-accounting ceiling on adjacency bytes, and live complex-read
+//! operators.
 //!
 //! Usage: `cargo run --release -p snb-bench --bin scale_smoke`
 //! (`SNB_SCALE_PERSONS` sizes the run; CI uses the 100K default.)
 
 use snb_bench::scale::{run_scale, ScaleConfig};
 
-/// Adjacency-bytes ceiling, mirrored by validate_bench_json.sh: a
-/// stored edge is one u32 target in an out-list plus one in an in-list
-/// (8 bytes); the per-label offset columns (amortized over edges) and
-/// the edge-property slots must keep the total under 64 — a pointer-
-/// heavy adjacency map blows straight through this.
+/// Adjacency-bytes ceiling: a stored edge is one u32 target in an
+/// out-list plus one in an in-list (8 bytes); the per-label offset
+/// columns (amortized over edges) and the edge-property slots must keep
+/// the total under 64 — a pointer-heavy adjacency map blows straight
+/// through this.
 const BYTES_PER_EDGE_CEILING: f64 = 64.0;
 
 fn main() {

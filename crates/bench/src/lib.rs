@@ -178,5 +178,5 @@ mod tests {
 pub mod tables;
 
 /// The million-vertex scale run (streaming build + CSR accounting +
-/// complex-read throughput), shared by `bench_json` and `scale_smoke`.
+/// complex-read throughput) behind `scale_smoke`.
 pub mod scale;

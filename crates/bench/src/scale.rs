@@ -6,9 +6,8 @@
 //! resident bytes per vertex/edge and interactive read throughput
 //! (two-hop plus the IC-style complex reads) at that size.
 //!
-//! Shared by `bench_json` (the gated `scale` section of
-//! `BENCH_<n>.json`) and the `scale_smoke` CI binary (a 100K-person
-//! end-to-end pass with the same invariants).
+//! Run by the `scale_smoke` CI binary (100K persons by default;
+//! `SNB_SCALE_PERSONS` sizes it up to the million-person run).
 
 use snb_datagen::{generate_stream, GeneratorConfig, StreamItem};
 use snb_driver::adapter::cypher::CypherAdapter;
@@ -53,7 +52,7 @@ impl ScaleConfig {
     }
 }
 
-/// Everything the `scale` section of `BENCH_<n>.json` reports.
+/// What one scale run measured.
 #[derive(Debug, Clone)]
 pub struct ScaleReport {
     pub persons: usize,
@@ -219,34 +218,5 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleReport {
         foaf_posts_per_sec,
         recent_messages_per_sec,
         mutual_friends_per_sec,
-    }
-}
-
-impl ScaleReport {
-    /// The `scale` object of the `snb-bench/1` JSON schema.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n    \"persons\": {},\n    \"vertices\": {},\n    \"edges\": {},\n    \
-             \"stream_updates\": {},\n    \"chunks\": {},\n    \
-             \"build_seconds\": {:.1},\n    \"ingest_updates_per_sec\": {:.1},\n    \
-             \"bytes_per_vertex\": {:.2},\n    \"bytes_per_edge\": {:.2},\n    \
-             \"resident_bytes\": {},\n    \"two_hop_ops_per_sec\": {:.1},\n    \
-             \"foaf_posts_per_sec\": {:.1},\n    \"recent_messages_per_sec\": {:.1},\n    \
-             \"mutual_friends_per_sec\": {:.1}\n  }}",
-            self.persons,
-            self.vertices,
-            self.edges,
-            self.stream_updates,
-            self.chunks,
-            self.build_seconds,
-            self.ingest_updates_per_sec,
-            self.bytes_per_vertex,
-            self.bytes_per_edge,
-            self.resident_bytes,
-            self.two_hop_ops_per_sec,
-            self.foaf_posts_per_sec,
-            self.recent_messages_per_sec,
-            self.mutual_friends_per_sec,
-        )
     }
 }

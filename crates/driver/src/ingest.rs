@@ -51,12 +51,6 @@ pub struct IngestConfig {
     /// How long an applier waits for a dependency before skipping the
     /// operation (counted as an error).
     pub dependency_timeout: Duration,
-    /// Sustained target rate in updates/s across the pool, `None` to
-    /// drain at full speed. A real deployment provisions ingestion at
-    /// the stream's arrival rate; pacing models that, so a mixed
-    /// read+write run measures reads under *sustained* ingestion
-    /// instead of under a worst-case bulk drain.
-    pub target_ops_per_sec: Option<f64>,
 }
 
 impl Default for IngestConfig {
@@ -65,7 +59,6 @@ impl Default for IngestConfig {
             appliers: 4,
             batch_size: 256,
             dependency_timeout: Duration::from_secs(2),
-            target_ops_per_sec: None,
         }
     }
 }
@@ -120,8 +113,6 @@ pub(crate) struct Applier<'a> {
     pub drain: bool,
     pub batch_size: usize,
     pub dependency_timeout: Duration,
-    /// Per-applier pacing target in ops/s (`None` = full speed).
-    pub pace_ops_per_sec: Option<f64>,
 }
 
 impl Applier<'_> {
@@ -163,10 +154,6 @@ pub(crate) fn applier_loop(ctx: &Applier<'_>, consumer: &mut Consumer) {
     let partition = partition as usize;
     let mut records = Vec::new();
     let mut batch: Vec<UpdateOp> = Vec::new();
-    // Token-bucket pacing state: how many ops this applier has pushed,
-    // against when it started.
-    let pace_start = Instant::now();
-    let mut pace_pushed = 0u64;
     loop {
         if ctx.stop.load(Ordering::Relaxed) {
             return;
@@ -240,7 +227,6 @@ pub(crate) fn applier_loop(ctx: &Applier<'_>, consumer: &mut Consumer) {
                 }
             }
             batch.push(op);
-            pace_pushed += 1;
             if batch.len() >= ctx.batch_size {
                 ctx.flush(&mut batch, partition);
                 consumer.commit();
@@ -248,18 +234,6 @@ pub(crate) fn applier_loop(ctx: &Applier<'_>, consumer: &mut Consumer) {
         }
         ctx.flush(&mut batch, partition);
         consumer.commit();
-        // Sustained-rate mode: sleep off whatever headroom is left over
-        // the target, after (not inside) the batch so the write lock is
-        // never held across a pacing sleep.
-        if let Some(rate) = ctx.pace_ops_per_sec {
-            if rate > 0.0 {
-                let due = Duration::from_secs_f64(pace_pushed as f64 / rate);
-                let elapsed = pace_start.elapsed();
-                if due > elapsed && !ctx.stop.load(Ordering::Relaxed) {
-                    std::thread::sleep((due - elapsed).min(Duration::from_millis(50)));
-                }
-            }
-        }
     }
 }
 
@@ -324,7 +298,6 @@ where
                 drain: true,
                 batch_size: config.batch_size.max(1),
                 dependency_timeout: config.dependency_timeout,
-                pace_ops_per_sec: config.target_ops_per_sec.map(|r| r / appliers as f64),
             };
             scope.spawn(move || applier_loop(&ctx, &mut consumer));
         }

@@ -161,7 +161,6 @@ pub fn run_interactive(
                     drain: false,
                     batch_size,
                     dependency_timeout: Duration::from_secs(2),
-                    pace_ops_per_sec: None,
                 };
                 applier_loop(&ctx, &mut consumer);
             });

@@ -241,12 +241,6 @@ impl ShardRouter {
         self.map.shard_of(v)
     }
 
-    /// The owner shard's connection pool for `v` — the routed
-    /// single-shard fast path (benchmark harness hook).
-    pub fn pool_for(&self, v: Vid) -> &NetPool {
-        &self.shards[self.owner(v)].pool
-    }
-
     /// The shards an edge is stored on: owner of `src`, plus owner of
     /// `dst` when different.
     fn edge_targets(&self, src: Vid, dst: Vid) -> [Option<usize>; 2] {

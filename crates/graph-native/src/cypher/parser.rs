@@ -163,9 +163,20 @@ fn lex(input: &str) -> Result<Vec<Tok>> {
     Ok(toks)
 }
 
+/// Deepest expression tree a query may build: each paren, `NOT` and
+/// binary operator adds one level. Parsing, compiling, evaluating and
+/// dropping an expression all recurse once per level, so a deeper query
+/// is a parse error rather than a stack overflow. The adapters' queries
+/// stay far below it.
+const MAX_EXPR_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Depth of the expression parsed last.
+    depth: usize,
+    /// Parens and `NOT`s open around the current position.
+    open: usize,
 }
 
 impl Parser {
@@ -220,6 +231,36 @@ impl Parser {
             Tok::Ident(s) => Ok(s),
             other => Err(SnbError::Parse(format!("expected identifier, got {other:?}"))),
         }
+    }
+
+    fn check_depth(depth: usize) -> Result<()> {
+        if depth > MAX_EXPR_DEPTH {
+            return Err(SnbError::Parse(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Parse the operand of a paren or `NOT`, one level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        self.open += 1;
+        Self::check_depth(self.open)?;
+        let e = parse(self)?;
+        self.open -= 1;
+        self.depth += 1;
+        Self::check_depth(self.depth)?;
+        Ok(e)
+    }
+
+    /// Parse the right operand of a binary operator, whose node sits one
+    /// level above the deeper of its two operands.
+    fn operand(&mut self, parse: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        let lhs = self.depth;
+        let e = parse(self)?;
+        self.depth = self.depth.max(lhs) + 1;
+        Self::check_depth(self.depth)?;
+        Ok(e)
     }
 
     fn parse_statement(&mut self) -> Result<Statement> {
@@ -431,7 +472,7 @@ impl Parser {
     fn parse_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_and()?;
         while self.eat_kw("OR") {
-            let rhs = self.parse_and()?;
+            let rhs = self.operand(Self::parse_and)?;
             lhs = Expr::Or(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -440,7 +481,7 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_not()?;
         while self.eat_kw("AND") {
-            let rhs = self.parse_not()?;
+            let rhs = self.operand(Self::parse_not)?;
             lhs = Expr::And(Box::new(lhs), Box::new(rhs));
         }
         Ok(lhs)
@@ -448,7 +489,7 @@ impl Parser {
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") {
-            Ok(Expr::Not(Box::new(self.parse_not()?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::parse_not)?)))
         } else {
             self.parse_cmp()
         }
@@ -467,7 +508,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            let rhs = self.parse_primary()?;
+            let rhs = self.operand(Self::parse_primary)?;
             Ok(Expr::Cmp(Box::new(lhs), op, Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -475,12 +516,13 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
+        self.depth = 0;
         match self.next()? {
             Tok::Int(n) => Ok(Expr::Lit(Value::Int(n))),
             Tok::Str(s) => Ok(Expr::Lit(Value::string(s))),
             Tok::Param(p) => Ok(Expr::Param(p)),
             Tok::LParen => {
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -501,7 +543,7 @@ impl Parser {
                         return Ok(Expr::CountStar);
                     }
                     let distinct = self.eat_kw("DISTINCT");
-                    let inner = self.parse_expr()?;
+                    let inner = self.nested(Self::parse_expr)?;
                     self.expect(Tok::RParen)?;
                     return Ok(Expr::Count(Box::new(inner), distinct));
                 }
@@ -536,7 +578,7 @@ fn synth_name(e: &Expr) -> String {
 /// Parse a query string into a [`Statement`].
 pub fn parse(query: &str) -> Result<Statement> {
     let toks = lex(query)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0, open: 0 };
     p.parse_statement()
 }
 
@@ -659,6 +701,60 @@ mod tests {
         assert!(parse("MATCH (p) RETURN p trailing").is_err());
         assert!(parse("MATCH (p {id: $}) RETURN p").is_err());
         assert!(parse("RETURN 'unterminated").is_err());
+    }
+
+    /// Run `f` on a thread with a 2 MiB stack, the size of a default
+    /// spawned thread.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread")
+    }
+
+    fn nested_parens(n: usize) -> String {
+        format!("MATCH (p) WHERE {}p.id = 1{} RETURN p", "(".repeat(n), ")".repeat(n))
+    }
+
+    fn and_chain(n: usize) -> String {
+        format!("MATCH (p) WHERE p.id = 1{} RETURN p", " AND p.id = 1".repeat(n))
+    }
+
+    /// 200,000 nested parens used to recurse the parser off its stack.
+    #[test]
+    fn deeply_nested_parens_error_instead_of_overflowing_the_stack() {
+        let q = nested_parens(200_000);
+        let r = on_small_stack(move || parse(&q).map(|_| ()));
+        assert!(matches!(r, Err(SnbError::Parse(_))), "{r:?}");
+    }
+
+    /// A flat `AND` chain of 200,000 terms builds a left-leaning tree
+    /// 200,000 levels deep, which used to overflow the stack when dropped.
+    #[test]
+    fn long_operator_chains_error_instead_of_overflowing_the_stack() {
+        let q = and_chain(199_999);
+        let r = on_small_stack(move || parse(&q).map(|_| ()));
+        assert!(matches!(r, Err(SnbError::Parse(_))), "{r:?}");
+    }
+
+    /// Parens, `NOT`s and chained operators each add one level; a tree
+    /// exactly `MAX_EXPR_DEPTH` deep parses and one more level does not.
+    #[test]
+    fn expression_depth_cap_is_exact() {
+        let cap = MAX_EXPR_DEPTH;
+        // The comparison is the innermost level.
+        assert!(parse(&nested_parens(cap - 1)).is_ok());
+        assert!(matches!(parse(&nested_parens(cap)), Err(SnbError::Parse(_))));
+        let nots = |n: usize| format!("MATCH (p) WHERE {}p.id = 1 RETURN p", "NOT ".repeat(n));
+        assert!(parse(&nots(cap - 1)).is_ok());
+        assert!(matches!(parse(&nots(cap)), Err(SnbError::Parse(_))));
+        assert!(parse(&and_chain(cap - 1)).is_ok());
+        assert!(matches!(parse(&and_chain(cap)), Err(SnbError::Parse(_))));
+        let counts = |n: usize| format!("MATCH (p) RETURN {}p{}", "count(".repeat(n), ")".repeat(n));
+        assert!(parse(&counts(cap)).is_ok());
+        assert!(matches!(parse(&counts(cap + 1)), Err(SnbError::Parse(_))));
     }
 
     #[test]

@@ -160,8 +160,8 @@ pub fn execute(backend: &(impl GraphBackend + ?Sized), t: &Traversal) -> Result<
     execute_with(backend, t, ExecConfig::default_cached())
 }
 
-/// [`execute`] with explicit parallelism knobs (the bench harness sweeps
-/// worker counts in-process through this entry point).
+/// [`execute`] with explicit parallelism and fusion knobs instead of
+/// the environment's.
 pub fn execute_with(
     backend: &(impl GraphBackend + ?Sized),
     t: &Traversal,

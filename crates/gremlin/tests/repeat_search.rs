@@ -7,9 +7,14 @@
 //! the same error kind and create the same number of paths, over a
 //! pinned snapshot and over the live backend API alike, while expanding
 //! no more heads.
+//!
+//! The same counting wrapper also holds the snapshot hot path of plain
+//! two-hop expansions: over a compacted store they read only the pinned
+//! CSR.
 
 use snb_core::{
-    Direction, EdgeLabel, GraphBackend, PropKey, Result, SnbError, Value, VertexLabel, Vid,
+    CsrSnapshot, Direction, EdgeLabel, GraphBackend, PropKey, Result, SnbError, Value,
+    VertexLabel, Vid,
 };
 use snb_gremlin::{
     execute, execute_with, repeat_heads_expanded, repeat_paths_created, ExecConfig, Step,
@@ -18,6 +23,7 @@ use snb_gremlin::{
 use snb_graph_native::NativeGraphStore;
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 fn p(id: u64) -> Vid {
     Vid::new(VertexLabel::Person, id)
@@ -27,18 +33,24 @@ fn tag(id: u64) -> Vid {
     Vid::new(VertexLabel::Tag, id)
 }
 
-/// The native store with its snapshot hidden, so every read goes
-/// through the live API (deterministically: the store's background
-/// compactor can otherwise publish a snapshot between two reads). It
-/// counts `neighbors` calls.
-struct Live<'a> {
+/// The native store behind a wrapper that counts live `neighbors`
+/// calls. [`Counted::live`] hides the store's snapshot, so every read
+/// goes through the live API (deterministically: the store's background
+/// compactor can otherwise publish a snapshot between two reads);
+/// [`Counted::pinned`] forwards `pin_snapshot`.
+struct Counted<'a> {
     store: &'a NativeGraphStore,
+    pin: bool,
     neighbor_calls: AtomicU64,
 }
 
-impl<'a> Live<'a> {
-    fn new(store: &'a NativeGraphStore) -> Self {
-        Live { store, neighbor_calls: AtomicU64::new(0) }
+impl<'a> Counted<'a> {
+    fn live(store: &'a NativeGraphStore) -> Self {
+        Counted { store, pin: false, neighbor_calls: AtomicU64::new(0) }
+    }
+
+    fn pinned(store: &'a NativeGraphStore) -> Self {
+        Counted { store, pin: true, neighbor_calls: AtomicU64::new(0) }
     }
 
     fn calls(&self) -> u64 {
@@ -46,9 +58,9 @@ impl<'a> Live<'a> {
     }
 }
 
-impl GraphBackend for Live<'_> {
+impl GraphBackend for Counted<'_> {
     fn name(&self) -> &'static str {
-        "native-live"
+        "native-counted"
     }
     fn add_vertex(&self, label: VertexLabel, local_id: u64, props: &[(PropKey, Value)]) -> Result<Vid> {
         self.store.add_vertex(label, local_id, props)
@@ -89,6 +101,13 @@ impl GraphBackend for Live<'_> {
     }
     fn storage_bytes(&self) -> usize {
         self.store.storage_bytes()
+    }
+    fn pin_snapshot(&self) -> Option<Arc<CsrSnapshot>> {
+        if self.pin {
+            self.store.pin_snapshot()
+        } else {
+            None
+        }
     }
 }
 
@@ -382,7 +401,7 @@ fn arena_search_matches_the_reference_on_random_graphs() {
             3,
         ));
         let live_results: Vec<_> = {
-            let live = Live::new(&s);
+            let live = Counted::live(&s);
             let mut out = Vec::new();
             for (prefix, until, max_loops) in &cases {
                 for body in bodies() {
@@ -413,7 +432,7 @@ fn target_exactly_at_max_loops_is_found_and_one_further_is_not() {
     let mut checked = 0;
     for seed in 0..16u64 {
         let s = random_graph(seed, 12, 16);
-        let live = Live::new(&s);
+        let live = Counted::live(&s);
         let body = [Step::Both(Some(EdgeLabel::Knows))];
         for b in 1..12 {
             let Some(d) = knows_distance(&s, p(0), p(b)).filter(|&d| d >= 2) else { continue };
@@ -480,7 +499,7 @@ fn work_counters_are_exact_on_small_graphs() {
     ];
     for (s, from, to, path, created, lazy, eager) in cases {
         let t = Traversal::v(from);
-        let live = Live::new(&s);
+        let live = Counted::live(&s);
         let (got, want) = check(&live, &t, &body, to, 8);
         assert_eq!(got.result.unwrap(), Some(path.clone()));
         assert_eq!((got.paths_created, got.heads_expanded), (created, lazy));
@@ -506,7 +525,7 @@ fn general_bodies_still_expand_whole_levels() {
     // head of a level is expanded before the fan-out, hit or not.
     let s = broom();
     let body = [Step::Both(Some(EdgeLabel::Knows)), Step::Dedup];
-    let live = Live::new(&s);
+    let live = Counted::live(&s);
     let (got, want) = check(&live, &Traversal::v(p(0)), &body, p(6), 8);
     assert_eq!(got.result.unwrap(), Some(vec![p(0), p(1), p(6)]));
     assert_eq!(got.heads_expanded, want.eager_heads);
@@ -532,7 +551,7 @@ fn clique_search_past_the_budget_is_overloaded() {
     }
     let t = Traversal::v(p(0)).repeat_both_until(EdgeLabel::Knows, p(999), 10);
     let created = 11 + 110 + 990 + 7_920 + 55_440 + 332_640 + 1_663_200 + 2_000_004;
-    let live = Live::new(&s);
+    let live = Counted::live(&s);
     let got = run(&live, &t);
     assert!(matches!(got.result, Err(SnbError::Overloaded(_))), "{:?}", got.result);
     assert_eq!(got.paths_created, created);
@@ -543,4 +562,37 @@ fn clique_search_past_the_budget_is_overloaded() {
     // Row space: one expansion per fanned-out path.
     let fanned = 1 + 11 + 110 + 990 + 7_920 + 55_440 + 332_640 + 500_001;
     assert_eq!(got.heads_expanded, fanned);
+}
+
+/// `out(Knows).out(Knows)` and `both(Knows).both(Knows)` from every
+/// person of a compacted store, fused and unfused, read the pinned CSR
+/// only: zero live `neighbors` calls, and the same rows as the live API.
+#[test]
+fn two_hops_over_a_compacted_store_make_no_live_neighbor_calls() {
+    let mut rows = 0;
+    for seed in 0..8u64 {
+        let s = random_graph(seed, 40, 120);
+        s.compact_now();
+        let live = Counted::live(&s);
+        let pinned = Counted::pinned(&s);
+        assert!(pinned.pin_snapshot().is_some());
+        for start in 0..40 {
+            let two_hops = [
+                Traversal::v(p(start)).out(EdgeLabel::Knows).out(EdgeLabel::Knows),
+                Traversal::v(p(start)).both(EdgeLabel::Knows).both(EdgeLabel::Knows),
+            ];
+            for t in &two_hops {
+                for fuse in [true, false] {
+                    let cfg = ExecConfig { workers: 1, morsel_min: 2048, fuse };
+                    let want = execute_with(&live, t, cfg).unwrap();
+                    let got = execute_with(&pinned, t, cfg).unwrap();
+                    assert_eq!(got, want, "seed {seed}, start {start}, fuse {fuse}");
+                    rows += got.len();
+                }
+            }
+        }
+        assert_eq!(pinned.calls(), 0, "seed {seed}: live neighbors calls over a pinned CSR");
+        assert!(live.calls() > 0);
+    }
+    assert!(rows > 1000, "{rows}");
 }

@@ -216,9 +216,17 @@ fn entity(prefix: &str, local: &str) -> Result<Term> {
     Ok(Term::Entity(Vid::new(label, id)))
 }
 
+/// Deepest `FILTER` expression a query may build: each `||` and `&&`
+/// adds one level. Evaluating and dropping a filter recurse once per
+/// level, so a deeper filter is a parse error rather than a stack
+/// overflow. The adapters' filters stay far below it.
+const MAX_FILTER_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Depth of the filter expression parsed last.
+    depth: usize,
 }
 
 impl Parser {
@@ -460,10 +468,24 @@ impl Parser {
         }
     }
 
+    /// Parse the right operand of a `||` or `&&`, whose node sits one
+    /// level above the deeper of its two operands.
+    fn operand(&mut self, parse: fn(&mut Self) -> Result<FilterExpr>) -> Result<FilterExpr> {
+        let lhs = self.depth;
+        let e = parse(self)?;
+        self.depth = self.depth.max(lhs) + 1;
+        if self.depth > MAX_FILTER_DEPTH {
+            return Err(SnbError::Parse(format!(
+                "FILTER nested deeper than {MAX_FILTER_DEPTH} levels"
+            )));
+        }
+        Ok(e)
+    }
+
     fn parse_filter(&mut self) -> Result<FilterExpr> {
         let mut lhs = self.parse_filter_and()?;
         while self.eat(&Tok::OrOr) {
-            lhs = FilterExpr::Or(Box::new(lhs), Box::new(self.parse_filter_and()?));
+            lhs = FilterExpr::Or(Box::new(lhs), Box::new(self.operand(Self::parse_filter_and)?));
         }
         Ok(lhs)
     }
@@ -471,12 +493,13 @@ impl Parser {
     fn parse_filter_and(&mut self) -> Result<FilterExpr> {
         let mut lhs = self.parse_filter_cmp()?;
         while self.eat(&Tok::AndAnd) {
-            lhs = FilterExpr::And(Box::new(lhs), Box::new(self.parse_filter_cmp()?));
+            lhs = FilterExpr::And(Box::new(lhs), Box::new(self.operand(Self::parse_filter_cmp)?));
         }
         Ok(lhs)
     }
 
     fn parse_filter_cmp(&mut self) -> Result<FilterExpr> {
+        self.depth = 0;
         let a = self.parse_filter_atom()?;
         let op = match self.next()? {
             Tok::Eq => FilterOp::Eq,
@@ -529,7 +552,7 @@ impl Parser {
 /// Parse a query string.
 pub fn parse(query: &str) -> Result<Query> {
     let toks = lex(query)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     p.parse_query()
 }
 
@@ -623,5 +646,40 @@ mod tests {
         assert!(parse("SELECT ?x WHERE { ?x snb:knows ?y ").is_err());
         assert!(parse("INSERT DATA { ?v snb:knows person:1 }").is_err());
         assert!(parse("SELECT ?x WHERE { badprefix:1 snb:knows ?x }").is_err());
+    }
+
+    fn or_chain(n: usize) -> String {
+        format!("SELECT ?x WHERE {{ ?x snb:knows ?y . FILTER(?y = 1{}) }}", " || ?y = 1".repeat(n))
+    }
+
+    /// A flat `||` chain of 200,000 terms builds a left-leaning tree
+    /// 200,000 levels deep, which used to overflow a 2 MiB stack (the
+    /// size of a default spawned thread) when dropped.
+    #[test]
+    fn long_filter_chains_error_instead_of_overflowing_the_stack() {
+        let q = or_chain(199_999);
+        let r = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&q).map(|_| ()))
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread");
+        assert!(matches!(r, Err(SnbError::Parse(_))), "{r:?}");
+    }
+
+    /// Each `||` and `&&` adds one level; a filter exactly
+    /// `MAX_FILTER_DEPTH` deep parses and one more level does not.
+    #[test]
+    fn filter_depth_cap_is_exact() {
+        let cap = MAX_FILTER_DEPTH;
+        assert!(parse(&or_chain(cap)).is_ok());
+        assert!(matches!(parse(&or_chain(cap + 1)), Err(SnbError::Parse(_))));
+        let mixed = format!(
+            "SELECT ?x WHERE {{ ?x snb:knows ?y . FILTER(?y = 1{} || ?y = 2) }}",
+            " && ?y = 1".repeat(cap - 1)
+        );
+        assert!(parse(&mixed).is_ok());
+        let deeper = mixed.replacen("?y = 1 &&", "?y = 1 && ?y = 1 &&", 1);
+        assert!(matches!(parse(&deeper), Err(SnbError::Parse(_))));
     }
 }

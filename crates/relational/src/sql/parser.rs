@@ -153,9 +153,20 @@ fn is_keyword(s: &str) -> bool {
     KEYWORDS.iter().any(|k| s.eq_ignore_ascii_case(k))
 }
 
+/// Deepest expression tree a statement may build: each paren, `NOT`
+/// and binary operator adds one level. Parsing, planning, evaluating
+/// and dropping an expression all recurse once per level, so a deeper
+/// statement is a parse error rather than a stack overflow. The
+/// adapters' statements stay far below it.
+const MAX_EXPR_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<Tok>,
     pos: usize,
+    /// Depth of the expression parsed last.
+    depth: usize,
+    /// Parens and `NOT`s open around the current position.
+    open: usize,
 }
 
 impl Parser {
@@ -217,6 +228,36 @@ impl Parser {
             Tok::Ident(s) => Ok(s),
             other => Err(SnbError::Parse(format!("expected identifier, got {other:?}"))),
         }
+    }
+
+    fn check_depth(depth: usize) -> Result<()> {
+        if depth > MAX_EXPR_DEPTH {
+            return Err(SnbError::Parse(format!(
+                "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+            )));
+        }
+        Ok(())
+    }
+
+    /// Parse the operand of a paren or `NOT`, one level down.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        self.open += 1;
+        Self::check_depth(self.open)?;
+        let e = parse(self)?;
+        self.open -= 1;
+        self.depth += 1;
+        Self::check_depth(self.depth)?;
+        Ok(e)
+    }
+
+    /// Parse the right operand of a binary operator, whose node sits one
+    /// level above the deeper of its two operands.
+    fn operand(&mut self, parse: fn(&mut Self) -> Result<Expr>) -> Result<Expr> {
+        let lhs = self.depth;
+        let e = parse(self)?;
+        self.depth = self.depth.max(lhs) + 1;
+        Self::check_depth(self.depth)?;
+        Ok(e)
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt> {
@@ -411,7 +452,7 @@ impl Parser {
     fn parse_expr(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_and()?;
         while self.eat_kw("OR") {
-            lhs = Expr::Or(Box::new(lhs), Box::new(self.parse_and()?));
+            lhs = Expr::Or(Box::new(lhs), Box::new(self.operand(Self::parse_and)?));
         }
         Ok(lhs)
     }
@@ -419,14 +460,14 @@ impl Parser {
     fn parse_and(&mut self) -> Result<Expr> {
         let mut lhs = self.parse_not()?;
         while self.eat_kw("AND") {
-            lhs = Expr::And(Box::new(lhs), Box::new(self.parse_not()?));
+            lhs = Expr::And(Box::new(lhs), Box::new(self.operand(Self::parse_not)?));
         }
         Ok(lhs)
     }
 
     fn parse_not(&mut self) -> Result<Expr> {
         if self.eat_kw("NOT") {
-            Ok(Expr::Not(Box::new(self.parse_not()?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::parse_not)?)))
         } else {
             self.parse_cmp()
         }
@@ -445,7 +486,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.pos += 1;
-            Ok(Expr::Cmp(Box::new(lhs), op, Box::new(self.parse_add()?)))
+            Ok(Expr::Cmp(Box::new(lhs), op, Box::new(self.operand(Self::parse_add)?)))
         } else {
             Ok(lhs)
         }
@@ -455,9 +496,9 @@ impl Parser {
         let mut lhs = self.parse_primary()?;
         loop {
             if self.eat(&Tok::Plus) {
-                lhs = Expr::Add(Box::new(lhs), Box::new(self.parse_primary()?));
+                lhs = Expr::Add(Box::new(lhs), Box::new(self.operand(Self::parse_primary)?));
             } else if self.eat(&Tok::Minus) {
-                lhs = Expr::Sub(Box::new(lhs), Box::new(self.parse_primary()?));
+                lhs = Expr::Sub(Box::new(lhs), Box::new(self.operand(Self::parse_primary)?));
             } else {
                 return Ok(lhs);
             }
@@ -465,12 +506,13 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr> {
+        self.depth = 0;
         match self.next()? {
             Tok::Int(n) => Ok(Expr::Lit(Value::Int(n))),
             Tok::Str(s) => Ok(Expr::Lit(Value::string(s))),
             Tok::Param(n) => Ok(Expr::Param(n)),
             Tok::LParen => {
-                let e = self.parse_expr()?;
+                let e = self.nested(Self::parse_expr)?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
@@ -494,7 +536,7 @@ impl Parser {
                             return Ok(Expr::Agg(kind, None, false));
                         }
                         let distinct = self.eat_kw("DISTINCT");
-                        let inner = self.parse_expr()?;
+                        let inner = self.nested(Self::parse_expr)?;
                         self.expect(Tok::RParen)?;
                         return Ok(Expr::Agg(kind, Some(Box::new(inner)), distinct));
                     }
@@ -525,7 +567,7 @@ fn synth_name(e: &Expr) -> String {
 /// Parse one SQL statement.
 pub fn parse(query: &str) -> Result<Stmt> {
     let toks = lex(query)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0, open: 0 };
     p.parse_stmt()
 }
 
@@ -671,5 +713,60 @@ mod tests {
         assert!(parse("SELECT id FROM person WHERE id = $0").is_err());
         assert!(parse("SELECT id FROM person LIMIT x").is_err());
         assert!(parse("SELECT 'oops FROM person").is_err());
+    }
+
+    /// Run `f` on a thread with a 2 MiB stack, the size of a default
+    /// spawned thread.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread")
+    }
+
+    fn nested_parens(n: usize) -> String {
+        format!("SELECT id FROM person WHERE {}id = 1{}", "(".repeat(n), ")".repeat(n))
+    }
+
+    /// 200,000 nested parens used to recurse the parser off its stack.
+    #[test]
+    fn deeply_nested_parens_error_instead_of_overflowing_the_stack() {
+        let q = nested_parens(200_000);
+        let r = on_small_stack(move || parse(&q).map(|_| ()));
+        assert!(matches!(r, Err(SnbError::Parse(_))), "{r:?}");
+    }
+
+    /// A flat `1 + 1 + ...` chain of 200,000 terms parses without
+    /// recursion, but builds a left-leaning tree 200,000 levels deep that
+    /// used to overflow the stack when dropped.
+    #[test]
+    fn long_operator_chains_error_instead_of_overflowing_the_stack() {
+        let q = format!("SELECT 1{} FROM person", " + 1".repeat(199_999));
+        let r = on_small_stack(move || parse(&q).map(|_| ()));
+        assert!(matches!(r, Err(SnbError::Parse(_))), "{r:?}");
+    }
+
+    /// Parens, `NOT`s and chained operators each add one level; a tree
+    /// exactly `MAX_EXPR_DEPTH` deep parses and one more level does not.
+    #[test]
+    fn expression_depth_cap_is_exact() {
+        let cap = MAX_EXPR_DEPTH;
+        // The comparison is the innermost level.
+        assert!(parse(&nested_parens(cap - 1)).is_ok());
+        assert!(matches!(parse(&nested_parens(cap)), Err(SnbError::Parse(_))));
+        let nots = |n: usize| format!("SELECT id FROM person WHERE {}id = 1", "NOT ".repeat(n));
+        assert!(parse(&nots(cap - 1)).is_ok());
+        assert!(matches!(parse(&nots(cap)), Err(SnbError::Parse(_))));
+        let chain = |n: usize| format!("SELECT 1{} FROM person", " - 1".repeat(n));
+        assert!(parse(&chain(cap)).is_ok());
+        assert!(matches!(parse(&chain(cap + 1)), Err(SnbError::Parse(_))));
+        let ors = |n: usize| format!("SELECT id FROM person WHERE id = 1{}", " OR id = 1".repeat(n));
+        assert!(parse(&ors(cap - 1)).is_ok());
+        assert!(matches!(parse(&ors(cap)), Err(SnbError::Parse(_))));
+        let counts = |n: usize| format!("SELECT {}id{} FROM person", "count(".repeat(n), ")".repeat(n));
+        assert!(parse(&counts(cap)).is_ok());
+        assert!(matches!(parse(&counts(cap + 1)), Err(SnbError::Parse(_))));
     }
 }

@@ -7,9 +7,9 @@
 //! regex-string strategy, and `prop_assert!`/`prop_assert_eq!`.
 //!
 //! Differences from upstream: generation is seeded deterministically per
-//! test (from the test name), and failing cases are reported but not
-//! shrunk. For the property suites in this repo that trade-off is fine —
-//! cases are already small.
+//! test (from the test name), and a failing case is reported with its
+//! inputs but not shrunk. For the property suites in this repo that
+//! trade-off is fine — cases are already small.
 
 pub mod test_runner {
     use std::fmt;
@@ -48,6 +48,17 @@ pub mod test_runner {
             match self {
                 TestCaseError::Fail(m) => write!(f, "{m}"),
             }
+        }
+    }
+
+    /// The message of a panic payload, for reporting a failed case.
+    pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+        if let Some(s) = payload.downcast_ref::<&str>() {
+            s.to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "panicked".to_string()
         }
     }
 
@@ -400,15 +411,38 @@ macro_rules! __proptest_fns {
             let config = $cfg;
             let mut rng = $crate::test_runner::TestRng::deterministic(stringify!($name));
             for case in 0..config.cases {
-                let outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (|| {
+                let outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(
+                    || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
                         $(let $pat = $crate::strategy::Strategy::new_value(&($strat), &mut rng);)+
                         $body
                         ::std::result::Result::Ok(())
-                    })();
-                if let ::std::result::Result::Err(e) = outcome {
-                    panic!("proptest {} failed at case {}/{}: {}", stringify!($name), case + 1, config.cases, e);
+                    },
+                ));
+                let failure = match outcome {
+                    ::std::result::Result::Ok(::std::result::Result::Ok(())) => continue,
+                    ::std::result::Result::Ok(::std::result::Result::Err(e)) => e.to_string(),
+                    ::std::result::Result::Err(payload) => {
+                        $crate::test_runner::panic_message(&*payload)
+                    }
+                };
+                // Generation is deterministic per test name: replay the
+                // stream up to the failing case to show its inputs.
+                let mut replay = $crate::test_runner::TestRng::deterministic(stringify!($name));
+                for _ in 0..case {
+                    $(let _ = $crate::strategy::Strategy::new_value(&($strat), &mut replay);)+
                 }
+                let mut inputs = ::std::string::String::new();
+                $(
+                    inputs.push_str(&format!(
+                        "\n    {} = {:?}",
+                        stringify!($pat),
+                        $crate::strategy::Strategy::new_value(&($strat), &mut replay),
+                    ));
+                )+
+                panic!(
+                    "proptest {} failed at case {}/{}: {}\n  inputs:{}",
+                    stringify!($name), case + 1, config.cases, failure, inputs
+                );
             }
         }
         $crate::__proptest_fns! { cfg = $cfg; $($rest)* }
@@ -525,15 +559,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "failed at case")]
     fn failing_property_panics_with_case_number() {
+        use crate::test_runner::TestRng;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        static RUNS: AtomicU32 = AtomicU32::new(0);
         proptest! {
             #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
             #[allow(unused)]
-            fn always_fails(x in 0..10u8) {
-                prop_assert!(false, "x = {}", x);
+            fn fails_third(x in 0..10u8, (a, ys) in (any::<bool>(), crate::collection::vec(0..100u32, 1..4))) {
+                prop_assert!(RUNS.fetch_add(1, Ordering::Relaxed) < 2, "third case");
             }
         }
-        always_fails();
+        let msg = *std::panic::catch_unwind(fails_third)
+            .expect_err("the property fails")
+            .downcast::<String>()
+            .expect("formatted panic message");
+        // The third case's inputs, drawn the way the runner draws them.
+        let mut rng = TestRng::deterministic("fails_third");
+        let mut draw = || {
+            let x = Strategy::new_value(&(0..10u8), &mut rng);
+            let pair = Strategy::new_value(
+                &(any::<bool>(), crate::collection::vec(0..100u32, 1..4)),
+                &mut rng,
+            );
+            (x, pair)
+        };
+        draw();
+        draw();
+        let (x, pair) = draw();
+        assert!(msg.contains("failed at case 3/8: third case"), "{msg}");
+        assert!(msg.contains(&format!("x = {x:?}")), "{msg}");
+        assert!(msg.contains(&format!("(a, ys) = {pair:?}")), "{msg}");
+
+        // A panicking body is a failed case too.
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+            #[allow(unused)]
+            fn panics_first(x in 0..10u8) {
+                panic!("boom");
+            }
+        }
+        let msg = *std::panic::catch_unwind(panics_first)
+            .expect_err("the property fails")
+            .downcast::<String>()
+            .expect("formatted panic message");
+        let x = Strategy::new_value(&(0..10u8), &mut TestRng::deterministic("panics_first"));
+        assert!(msg.contains(&format!("failed at case 1/8: boom\n  inputs:\n    x = {x:?}")), "{msg}");
     }
 }
