@@ -8,8 +8,7 @@
 //! live, concurrently-written store:
 //!
 //! * **Correct by construction.** Every key embeds the store's write
-//!   sequence (or, for the sharded router, the whole per-shard epoch
-//!   vector) at the time the result was computed. A write advances the
+//!   sequence at the time the result was computed. A write advances the
 //!   epoch, so every cached entry for the old epoch simply *stops
 //!   matching* — there is no invalidation traffic, no broadcast, no
 //!   version check on the store. Stale entries are detected on the next
@@ -41,10 +40,9 @@ use parking_lot::Mutex;
 use snb_core::FastMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// FNV-1a over the key material — the same cheap hash the shard
-/// placement map uses; keys are short (query text + params or a frontier
-/// vector) and the full material is compared on every probe, so the hash
-/// only has to spread, not to be collision-free.
+/// FNV-1a over the key material; keys are short (query text + params
+/// or an encoded traversal) and the full material is compared on every
+/// probe, so the hash only has to spread, not to be collision-free.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -209,7 +207,7 @@ enum Seg {
 
 struct Node<V> {
     key: Box<[u8]>,
-    epochs: Box<[u64]>,
+    epoch: u64,
     hash: u64,
     value: V,
     prev: u32,
@@ -343,7 +341,7 @@ impl<V: Clone> Segment<V> {
         }
     }
 
-    fn get(&mut self, key: &[u8], epochs: &[u64], hash: u64, c: &Counters) -> Option<V> {
+    fn get(&mut self, key: &[u8], epoch: u64, hash: u64, c: &Counters) -> Option<V> {
         self.sketch.increment(hash);
         let ix = match self.map.get(&hash) {
             Some(&ix) => ix,
@@ -354,7 +352,7 @@ impl<V: Clone> Segment<V> {
         };
         let (key_match, epoch_match) = {
             let n = self.nodes[ix as usize].as_ref().expect("mapped node is live");
-            (&*n.key == key, &*n.epochs == epochs)
+            (&*n.key == key, n.epoch == epoch)
         };
         if !key_match {
             // 64-bit collision with different key material: treat as
@@ -375,7 +373,7 @@ impl<V: Clone> Segment<V> {
         // matches; verify once more so any future regression is counted
         // rather than silently served.
         let n = self.nodes[ix as usize].as_ref().expect("mapped node is live");
-        if &*n.epochs != epochs {
+        if n.epoch != epoch {
             c.stale_served.fetch_add(1, Ordering::Relaxed);
         }
         let value = n.value.clone();
@@ -384,7 +382,7 @@ impl<V: Clone> Segment<V> {
         Some(value)
     }
 
-    fn insert(&mut self, key: &[u8], epochs: &[u64], hash: u64, value: V, c: &Counters) -> bool {
+    fn insert(&mut self, key: &[u8], epoch: u64, hash: u64, value: V, c: &Counters) -> bool {
         if self.cap == 0 {
             c.rejected.fetch_add(1, Ordering::Relaxed);
             return false;
@@ -395,7 +393,7 @@ impl<V: Clone> Segment<V> {
             // either way the slot holds exactly one entry per hash, so
             // replace in place and move to the MRU of its list.
             n.key = key.into();
-            n.epochs = epochs.into();
+            n.epoch = epoch;
             n.value = value;
             let seg = n.seg;
             self.detach(ix);
@@ -422,7 +420,7 @@ impl<V: Clone> Segment<V> {
         }
         let node = Node {
             key: key.into(),
-            epochs: epochs.into(),
+            epoch,
             hash,
             value,
             prev: NIL,
@@ -441,8 +439,7 @@ impl<V: Clone> Segment<V> {
 ///
 /// `V` is whatever a layer wants to memoize: encoded response bytes for
 /// the reactor's inline path, normalized result rows for the Cypher/SQL
-/// adapters, a merged neighbour vector for the router's hot-frontier
-/// cache. Values are cloned out on hit, so layers keep `V` cheap to
+/// adapters. Values are cloned out on hit, so layers keep `V` cheap to
 /// clone (or wrap it in `Arc`).
 pub struct ResultCache<V> {
     segments: Box<[Mutex<Segment<V>>]>,
@@ -486,27 +483,17 @@ impl<V: Clone> ResultCache<V> {
         &self.segments[ix]
     }
 
-    /// Probe for `key` at exactly the epoch vector `epochs`.
-    pub fn get(&self, key: &[u8], epochs: &[u64]) -> Option<V> {
+    /// Probe for `key` at exactly the write epoch `epoch`.
+    pub fn get(&self, key: &[u8], epoch: u64) -> Option<V> {
         let hash = fnv1a(key);
-        self.segment(hash).lock().get(key, epochs, hash, &self.counters)
+        self.segment(hash).lock().get(key, epoch, hash, &self.counters)
     }
 
-    /// Single-epoch convenience for layers keyed on one `write_seq`.
-    pub fn get1(&self, key: &[u8], epoch: u64) -> Option<V> {
-        self.get(key, &[epoch])
-    }
-
-    /// Offer `(key, epochs) → value`; returns `false` when TinyLFU
+    /// Offer `(key, epoch) → value`; returns `false` when TinyLFU
     /// admission turned the candidate away.
-    pub fn insert(&self, key: &[u8], epochs: &[u64], value: V) -> bool {
+    pub fn insert(&self, key: &[u8], epoch: u64, value: V) -> bool {
         let hash = fnv1a(key);
-        self.segment(hash).lock().insert(key, epochs, hash, value, &self.counters)
-    }
-
-    /// Single-epoch convenience for [`ResultCache::insert`].
-    pub fn insert1(&self, key: &[u8], epoch: u64, value: V) -> bool {
-        self.insert(key, &[epoch], value)
+        self.segment(hash).lock().insert(key, epoch, hash, value, &self.counters)
     }
 
     /// Record that an integration layer declined to consult the cache
@@ -569,9 +556,9 @@ mod tests {
     #[test]
     fn hit_after_insert_at_same_epoch() {
         let c = cache(16);
-        assert_eq!(c.get1(b"k", 3), None);
-        assert!(c.insert1(b"k", 3, 42));
-        assert_eq!(c.get1(b"k", 3), Some(42));
+        assert_eq!(c.get(b"k", 3), None);
+        assert!(c.insert(b"k", 3, 42));
+        assert_eq!(c.get(b"k", 3), Some(42));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
     }
@@ -579,26 +566,17 @@ mod tests {
     #[test]
     fn epoch_advance_stops_matching_and_reclaims() {
         let c = cache(16);
-        c.insert1(b"k", 3, 42);
-        assert_eq!(c.get1(b"k", 3), Some(42));
+        c.insert(b"k", 3, 42);
+        assert_eq!(c.get(b"k", 3), Some(42));
         // A write advanced the epoch: the old entry must not serve.
-        assert_eq!(c.get1(b"k", 4), None);
+        assert_eq!(c.get(b"k", 4), None);
         let s = c.stats();
         assert_eq!(s.stale_evicted, 1, "stale entry reclaimed on probe");
         assert_eq!(s.stale_served, 0);
         assert_eq!(c.len(), 0, "reclaim removes the entry");
         // Refreshing at the new epoch works.
-        c.insert1(b"k", 4, 43);
-        assert_eq!(c.get1(b"k", 4), Some(43));
-    }
-
-    #[test]
-    fn epoch_vector_must_match_exactly() {
-        let c = cache(16);
-        c.insert(b"k", &[1, 2, 3], 7);
-        assert_eq!(c.get(b"k", &[1, 2, 3]), Some(7));
-        assert_eq!(c.get(b"k", &[1, 2, 4]), None, "any shard's write invalidates");
-        assert_eq!(c.stats().stale_evicted, 1);
+        c.insert(b"k", 4, 43);
+        assert_eq!(c.get(b"k", 4), Some(43));
     }
 
     #[test]
@@ -608,8 +586,8 @@ mod tests {
         for round in 0..50u64 {
             for k in 0..8u64 {
                 let key = k.to_le_bytes();
-                if c.get1(&key, 0).is_none() {
-                    c.insert1(&key, 0, k + round);
+                if c.get(&key, 0).is_none() {
+                    c.insert(&key, 0, k + round);
                 }
             }
         }
@@ -618,7 +596,7 @@ mod tests {
         // A long one-off scan must be turned away, not wash the cache.
         let mut admitted = 0;
         for k in 1000..1400u64 {
-            if c.insert1(&k.to_le_bytes(), 0, k) {
+            if c.insert(&k.to_le_bytes(), 0, k) {
                 admitted += 1;
             }
         }
@@ -629,7 +607,7 @@ mod tests {
         // The hot keys still serve.
         let before = c.stats().hits;
         for k in 0..8u64 {
-            c.get1(&k.to_le_bytes(), 0);
+            c.get(&k.to_le_bytes(), 0);
         }
         assert!(c.stats().hits >= before + 6, "hot set survived the scan");
         assert!(c.stats().rejected > 0);
@@ -639,11 +617,11 @@ mod tests {
     fn reference_promotes_to_protected_and_demotes_in_order() {
         let c = cache(10);
         for k in 0..10u64 {
-            c.insert1(&k.to_le_bytes(), 0, k);
+            c.insert(&k.to_le_bytes(), 0, k);
         }
         // Touch 0..8 so they are promoted to protected (cap 8 = 80%).
         for k in 0..9u64 {
-            assert_eq!(c.get1(&k.to_le_bytes(), 0), Some(k));
+            assert_eq!(c.get(&k.to_le_bytes(), 0), Some(k));
         }
         // Promoting 9 entries through a protected cap of 8 demotes the
         // coldest back to probation; nothing is lost.
@@ -653,8 +631,8 @@ mod tests {
     #[test]
     fn zero_capacity_disables_storage_but_counts() {
         let c = cache(0);
-        assert!(!c.insert1(b"k", 0, 1));
-        assert_eq!(c.get1(b"k", 0), None);
+        assert!(!c.insert(b"k", 0, 1));
+        assert_eq!(c.get(b"k", 0), None);
         c.note_bypass();
         let s = c.stats();
         assert_eq!((s.rejected, s.misses, s.bypass), (1, 1, 1));
@@ -669,8 +647,8 @@ mod tests {
             let k = (round % 13).to_le_bytes();
             let epoch = round / 40; // epochs churn every 40 probes
             probes += 1;
-            if c.get1(&k, epoch).is_none() {
-                c.insert1(&k, epoch, round);
+            if c.get(&k, epoch).is_none() {
+                c.insert(&k, epoch, round);
             }
         }
         let s = c.stats();
@@ -703,8 +681,8 @@ mod tests {
                 for i in 0..2000u64 {
                     let k = ((i * 7 + t) % 300).to_le_bytes();
                     let epoch = i / 500;
-                    if c.get1(&k, epoch).is_none() {
-                        c.insert1(&k, epoch, i);
+                    if c.get(&k, epoch).is_none() {
+                        c.insert(&k, epoch, i);
                     }
                 }
             }));
@@ -723,10 +701,10 @@ mod tests {
         // exhaustive probing is impractical; instead verify the map
         // holds one entry per hash and a differing key is a miss.
         let c = cache(16);
-        c.insert1(b"alpha", 1, 10);
-        assert_eq!(c.get1(b"alpha", 1), Some(10));
+        c.insert(b"alpha", 1, 10);
+        assert_eq!(c.get(b"alpha", 1), Some(10));
         // Same hash can only come from the same bytes under FNV here,
         // so a different key must miss.
-        assert_eq!(c.get1(b"beta", 1), None);
+        assert_eq!(c.get(b"beta", 1), None);
     }
 }

@@ -100,13 +100,11 @@ pub trait GraphBackend: Send + Sync {
         None
     }
 
-    /// Pin the *latest published* CSR snapshot, even if its epoch is
-    /// behind the current write sequence. Interactive reads must never
-    /// use this (it breaks read-your-writes); it exists for bulk
-    /// analytics, where a job pins one consistent epoch for its whole
-    /// lifetime and concurrent writes are deliberately not observed.
-    /// The default only serves exactly-fresh snapshots; engines with a
-    /// compactor override it to serve the newest fold under write churn.
+    /// Pin a CSR snapshot that may lag the current write sequence, for
+    /// a reader that wants one consistent epoch and deliberately does not
+    /// observe concurrent writes. Interactive reads must never use this
+    /// (it breaks read-your-writes). The default serves only
+    /// exactly-fresh snapshots, as [`Self::pin_snapshot`] does.
     fn pin_analytics_snapshot(&self) -> Option<std::sync::Arc<crate::snapshot::CsrSnapshot>> {
         self.pin_snapshot()
     }

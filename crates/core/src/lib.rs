@@ -15,7 +15,6 @@ pub mod graph;
 pub mod ids;
 pub mod metrics;
 pub mod schema;
-pub mod shard;
 pub mod snapshot;
 pub mod topk;
 pub mod value;
@@ -26,7 +25,6 @@ pub use fxhash::{FastMap, FastSet, FxBuildHasher};
 pub use graph::{Direction, PropertyMap};
 pub use ids::{EdgeLabel, VertexLabel, Vid};
 pub use schema::PropKey;
-pub use shard::ShardMap;
 pub use snapshot::{CsrBuilder, CsrSnapshot, EpochCell, SnapshotCache};
 pub use topk::top_k_by;
 pub use value::Value;

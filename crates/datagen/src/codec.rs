@@ -34,11 +34,28 @@ fn kind_tag(kind: UpdateKind) -> u8 {
     KINDS.iter().position(|k| *k == kind).unwrap() as u8
 }
 
+/// Deepest list nesting a record may carry. Decoding recurses once per
+/// level, so an uncapped depth lets a small record overflow the
+/// decoding thread's stack. The generator emits lists one level deep.
+const MAX_NESTING: u32 = 32;
+
 struct Reader<'a> {
     data: &'a [u8],
+    /// Current nesting depth of list values.
+    depth: u32,
 }
 
 impl<'a> Reader<'a> {
+    /// Enter one list level, failing past [`MAX_NESTING`]; pair with
+    /// `self.depth -= 1` on the way out.
+    fn nest(&mut self) -> Result<()> {
+        if self.depth >= MAX_NESTING {
+            return Err(SnbError::Codec(format!("update op nests deeper than {MAX_NESTING}")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.data.len() < n {
             return Err(SnbError::Codec("truncated update op".into()));
@@ -128,10 +145,12 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value> {
         6 => Value::Vertex(r.vid()?),
         7 => {
             let n = r.u16()? as usize;
+            r.nest()?;
             let mut items = Vec::with_capacity(n);
             for _ in 0..n {
                 items.push(decode_value(r)?);
             }
+            r.depth -= 1;
             Value::List(items)
         }
         other => return Err(SnbError::Codec(format!("unknown value tag {other}"))),
@@ -210,7 +229,7 @@ impl UpdateOp {
 
     /// Decode from the compact binary wire format.
     pub fn decode_binary(data: &[u8]) -> Result<UpdateOp> {
-        let mut r = Reader { data };
+        let mut r = Reader { data, depth: 0 };
         let kind = *KINDS
             .get(r.u8()? as usize)
             .ok_or_else(|| SnbError::Codec("unknown update kind tag".into()))?;
@@ -294,5 +313,60 @@ mod tests {
         let mut bad_kind = bytes;
         bad_kind[0] = 200;
         assert!(UpdateOp::decode_binary(&bad_kind).is_err());
+    }
+
+    /// Decode on a thread with a 2 MiB stack, so unbounded recursion
+    /// aborts the test binary instead of passing on a large main stack.
+    fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .expect("spawn decoder thread")
+            .join()
+            .expect("decoder thread")
+    }
+
+    /// An AddPerson record whose one property is `depth` one-element
+    /// lists nested around a null: about 3 bytes per level.
+    fn nested_list_record(depth: usize) -> Vec<u8> {
+        let mut bytes = vec![kind_tag(UpdateKind::AddPerson)];
+        bytes.extend_from_slice(&0i64.to_le_bytes()); // ts_ms
+        bytes.extend_from_slice(&0i64.to_le_bytes()); // dependency_ms
+        bytes.push(1); // has a vertex
+        bytes.extend_from_slice(&Vid::new(VertexLabel::Person, 1).raw().to_le_bytes());
+        bytes.extend_from_slice(&0i64.to_le_bytes()); // creation_ms
+        bytes.extend_from_slice(&1u16.to_le_bytes()); // one property
+        bytes.push(PropKey::Speaks as u8);
+        for _ in 0..depth {
+            bytes.push(7); // List tag
+            bytes.extend_from_slice(&1u16.to_le_bytes());
+        }
+        bytes.push(0); // Null
+        bytes.extend_from_slice(&0u32.to_le_bytes()); // no edges
+        bytes
+    }
+
+    #[test]
+    fn deeply_nested_lists_error_instead_of_overflowing_the_stack() {
+        let bytes = nested_list_record(200_000);
+        assert!(bytes.len() > 600_000);
+        let r = on_small_stack(move || UpdateOp::decode_binary(&bytes));
+        assert!(matches!(r, Err(SnbError::Codec(_))), "{r:?}");
+    }
+
+    #[test]
+    fn lists_nested_exactly_to_the_cap_decode() {
+        let bytes = nested_list_record(MAX_NESTING as usize);
+        let op = on_small_stack(move || UpdateOp::decode_binary(&bytes)).unwrap();
+        let mut v = &op.new_vertex.as_ref().unwrap().props[0].1;
+        for _ in 0..MAX_NESTING {
+            match v {
+                Value::List(items) => v = &items[0],
+                other => panic!("expected a list, got {other:?}"),
+            }
+        }
+        assert_eq!(*v, Value::Null);
+        let deeper = nested_list_record(MAX_NESTING as usize + 1);
+        assert!(matches!(UpdateOp::decode_binary(&deeper), Err(SnbError::Codec(_))));
     }
 }

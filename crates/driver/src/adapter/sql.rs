@@ -82,12 +82,12 @@ impl SqlAdapter {
         key.extend_from_slice(query.as_bytes());
         key.push(0);
         key.extend_from_slice(&person.to_le_bytes());
-        if let Some(rows) = cache.get1(&key, epoch) {
+        if let Some(rows) = cache.get(&key, epoch) {
             return Ok(rows);
         }
         let rows = self.run(query, params)?;
         if self.snaps.write_seq() == epoch {
-            cache.insert1(&key, epoch, rows.clone());
+            cache.insert(&key, epoch, rows.clone());
         }
         Ok(rows)
     }

@@ -86,20 +86,6 @@ impl IngestReport {
     }
 }
 
-/// Smallest applier count ≥ `requested` that is a multiple of `shards`
-/// — the partition count that makes ingest *shard-local* behind a
-/// [`ShardRouter`](crate::router::ShardRouter). The topic keys records
-/// by [`UpdateOp::partition_key`] (the primary entity's raw vid), and
-/// the shard map hashes exactly the same bytes, so with `P % N == 0`
-/// the FNV routing composes: `(fnv % P) % N == fnv % N` — every
-/// partition's primary entities belong to exactly one shard (see
-/// [`snb_core::ShardMap::aligned_partitions`]).
-pub fn shard_aligned_appliers(requested: usize, shards: usize) -> usize {
-    let shards = shards.max(1);
-    let requested = requested.max(1);
-    requested.div_ceil(shards) * shards
-}
-
 /// Everything one applier thread shares with the rest of the pool.
 pub(crate) struct Applier<'a> {
     pub adapter: &'a dyn SutAdapter,
@@ -338,23 +324,6 @@ mod tests {
         assert_eq!(report.errors, 0, "no dependency violations in a sound protocol");
         assert_eq!(parallel.store().vertex_count(), sequential.store().vertex_count());
         assert_eq!(parallel.store().edge_count(), sequential.store().edge_count());
-    }
-
-    #[test]
-    fn shard_aligned_appliers_round_up_to_a_multiple() {
-        assert_eq!(shard_aligned_appliers(4, 1), 4);
-        assert_eq!(shard_aligned_appliers(4, 2), 4);
-        assert_eq!(shard_aligned_appliers(4, 3), 6);
-        assert_eq!(shard_aligned_appliers(1, 4), 4);
-        assert_eq!(shard_aligned_appliers(5, 4), 8);
-        // Degenerate inputs clamp instead of panicking.
-        assert_eq!(shard_aligned_appliers(0, 0), 1);
-        // The alignment the helper promises: every partition maps to
-        // one shard.
-        for shards in 1..=4 {
-            let appliers = shard_aligned_appliers(4, shards);
-            assert!(snb_core::ShardMap::new(shards).aligned_partitions(appliers));
-        }
     }
 
     #[test]

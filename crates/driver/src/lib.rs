@@ -17,6 +17,8 @@
 //! * [`scheduler`] — LDBC dependency tracking: an update may only run
 //!   once everything at or before its dependency timestamp is applied.
 //! * [`micro`] — the latency runner behind Tables 2 and 3.
+//! * [`complex`] — the IC-style complex reads served from a pinned CSR
+//!   snapshot, with naive oracles for the equivalence tests.
 //! * [`ingest`] — parallel, dependency-aware application of the update
 //!   stream: a partitioned topic, a consumer-group applier pool, and
 //!   batched engine writes.
@@ -25,20 +27,14 @@
 //!   concurrent closed-loop readers.
 //! * [`loading`] — the bulk-load runner behind Table 4 and the
 //!   concurrent-loader scaling experiment of Appendix A.
-//! * [`router`] — sharded scale-out: N independent engine shards
-//!   behind a scatter-gather query router (FNV vertex placement,
-//!   frontier-batch waves for cross-shard multi-hop reads,
-//!   shard-local ingest via the aligned partitioned topic).
 
 pub mod adapter;
-pub mod analytics;
 pub mod complex;
 pub mod ingest;
 pub mod interactive;
 pub mod loading;
 pub mod micro;
 pub mod ops;
-pub mod router;
 pub mod scheduler;
 pub mod sqlg;
 
@@ -46,7 +42,5 @@ pub use adapter::{build_all_adapters, OpResult, SutAdapter, SutKind};
 pub use complex::{
     foaf_posts, mutual_friends, naive_foaf_posts, naive_mutual_friends, recent_messages,
 };
-pub use analytics::{sharded_pagerank, sharded_triangles, sharded_wcc, MergedPageRank};
-pub use ingest::{run_ingest, run_ingest_iter, shard_aligned_appliers, IngestConfig, IngestReport};
+pub use ingest::{run_ingest, run_ingest_iter, IngestConfig, IngestReport};
 pub use ops::{ParamGen, ReadOp};
-pub use router::ShardRouter;

@@ -3,11 +3,9 @@
 //! return exactly what a cache-bypassed execution returns at the same
 //! point in the stream, and the stale-serve tripwire must never fire.
 //!
-//! Three layers, three properties:
+//! Two layers, two properties:
 //! * adapter caches — `CypherAdapter` and `SqlAdapter` with the default
 //!   cache vs capacity-0 twins fed the identical op stream,
-//! * the router's hot-frontier cache — a 2-shard `ShardRouter` vs an
-//!   uncached single-store oracle,
 //! * the reactor inline cache — two `RawSubmitter`s over the SAME store,
 //!   one caching and one with capacity 0, with writes landing directly
 //!   on the shared store between reads.
@@ -19,7 +17,6 @@ use snb_driver::adapter::cypher::CypherAdapter;
 use snb_driver::adapter::sql::SqlAdapter;
 use snb_driver::adapter::SutAdapter;
 use snb_driver::ops::ReadOp;
-use snb_driver::router::ShardRouter;
 use snb_gremlin::{wire, GremlinServer, ServerConfig, Traversal};
 use snb_relational::Layout;
 use std::collections::HashSet;
@@ -235,48 +232,5 @@ proptest! {
         }
         assert_clean(cached.result_cache().unwrap().stats(), "inline")?;
         prop_assert!(bypass.result_cache().is_none());
-    }
-}
-
-proptest! {
-    // Few cases: every one boots three TCP server stacks.
-    #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
-
-    // Layer 3: the hot-frontier cache. A cached 2-shard router replays
-    // the interleaving against an uncached single-store oracle; the
-    // scatter-gather reads must agree after every write.
-    #[test]
-    fn frontier_cache_matches_uncached_oracle(
-        specs in proptest::collection::vec(
-            (any::<u8>(), 0usize..1000, 0usize..1000),
-            4..60,
-        ),
-    ) {
-        let steps = build_steps(&specs);
-        let router = ShardRouter::native(2).unwrap();
-        prop_assert!(router.frontier_cache().is_some());
-        let oracle = CypherAdapter::with_result_cache(0);
-
-        for step in &steps {
-            match step {
-                Step::Write(op) => {
-                    router.execute_update(op).unwrap();
-                    oracle.execute_update(op).unwrap();
-                }
-                Step::Read { person } => {
-                    for op in [
-                        ReadOp::OneHop { person: *person },
-                        ReadOp::TwoHop { person: *person },
-                    ] {
-                        prop_assert_eq!(
-                            sorted(router.execute_read(&op).unwrap()),
-                            sorted(oracle.execute_read(&op).unwrap()),
-                            "sharded {:?} diverged", &op
-                        );
-                    }
-                }
-            }
-        }
-        assert_clean(router.frontier_cache().unwrap().stats(), "frontier")?;
     }
 }

@@ -10,8 +10,7 @@ use snb_core::{EdgeLabel, VertexLabel};
 use snb_datagen::{EdgeRec, UpdateKind, UpdateOp, VertexRec};
 use snb_driver::adapter::cypher::CypherAdapter;
 use snb_driver::adapter::SutAdapter;
-use snb_driver::router::{graph_edges, graph_vertices, ShardRouter};
-use snb_driver::{run_ingest, shard_aligned_appliers, IngestConfig};
+use snb_driver::{run_ingest, IngestConfig};
 use std::collections::HashSet;
 
 /// Turn a spec list into a well-formed stream: strictly increasing
@@ -116,60 +115,6 @@ proptest! {
                 b.sort_by_key(|x| x.raw());
                 prop_assert_eq!(a, b, "adjacency of {:?} diverged", v.vid());
             }
-        }
-    }
-
-    // Shard equivalence: the same update stream drained through 1, 2,
-    // and 4 engine shards (shard-aligned partitioned topic, shard-local
-    // appliers, scatter-gather router) must merge to exactly the graph
-    // a single unsharded store holds after sequential application —
-    // same vertices with the same properties, same directed edge
-    // multiset, ghosts excluded by the ownership filter. Few cases:
-    // each one boots up to seven TCP server stacks.
-    #[test]
-    fn sharded_ingest_merges_to_the_single_store_state(
-        specs in proptest::collection::vec(
-            (any::<bool>(), 0usize..1000, 0usize..1000),
-            1..80,
-        ),
-        batch_size in 1usize..32,
-    ) {
-        let ops = build_stream(&specs);
-
-        let baseline = snb_graph_native::NativeGraphStore::new();
-        for op in &ops {
-            if let Some(v) = &op.new_vertex {
-                baseline.add_vertex(v.label, v.id, &v.props).unwrap();
-            }
-            for e in &op.new_edges {
-                baseline.add_edge(e.label, e.src, e.dst, &e.props).unwrap();
-            }
-        }
-        let want_vertices = graph_vertices(&baseline);
-        let want_edges = graph_edges(&baseline);
-
-        for shards in [1usize, 2, 4] {
-            let router = ShardRouter::native(shards).unwrap();
-            let report = run_ingest(
-                &router,
-                &ops,
-                0,
-                &IngestConfig {
-                    appliers: shard_aligned_appliers(4, shards),
-                    batch_size,
-                    ..IngestConfig::default()
-                },
-            );
-            prop_assert_eq!(report.applied, ops.len() as u64, "{} shards", shards);
-            prop_assert_eq!(report.errors, 0, "{} shards", shards);
-            prop_assert_eq!(
-                router.merged_vertices(), want_vertices.clone(),
-                "{}-shard merged vertices diverged", shards
-            );
-            prop_assert_eq!(
-                router.merged_edges(), want_edges.clone(),
-                "{}-shard merged edges diverged", shards
-            );
         }
     }
 }

@@ -889,22 +889,6 @@ impl GraphBackend for NativeGraphStore {
         }
     }
 
-    /// Serve the newest published fold regardless of freshness: an
-    /// analytics job pins one consistent epoch for its lifetime, so a
-    /// snapshot a few writes behind is correct for it — and under
-    /// sustained ingest an *exactly* fresh epoch may never exist. A
-    /// store that has never folded builds its first snapshot inline.
-    fn pin_analytics_snapshot(&self) -> Option<Arc<CsrSnapshot>> {
-        if let Some(s) = self.shared.csr.load() {
-            if s.epoch() != self.shared.write_seq.load(Ordering::Acquire) {
-                self.shared.nudge();
-            }
-            return Some(s);
-        }
-        fold_csr(&self.shared);
-        self.shared.csr.load()
-    }
-
     /// The write sequence doubles as the result-cache epoch: every
     /// mutation bumps it under the write lock before returning, which
     /// is exactly the contract epoch-keyed caching needs.

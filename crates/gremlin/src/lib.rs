@@ -26,7 +26,6 @@
 //!   crashes, surfaced as backpressure errors.
 
 pub mod exec;
-pub mod frontier;
 pub mod server;
 pub mod traversal;
 pub mod wire;
@@ -35,7 +34,6 @@ pub use exec::{
     execute, execute_capped, execute_with, repeat_heads_expanded, repeat_paths_created, ExecConfig,
     TRAVERSER_BUDGET,
 };
-pub use frontier::{decode_frontier, encode_frontier, execute_frontier, FrontierRequest};
 pub use server::{
     default_workers, GremlinClient, GremlinServer, RawSubmitter, ReplySink, ServerConfig,
     TraversalEndpoint, INLINE_TRAVERSER_CAP,

@@ -16,7 +16,6 @@
 //! under 64 concurrent complex queries.
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use snb_analytics::{AnalyticsConfig, JobManager};
 use snb_cache::ResultCache;
 use snb_core::{GraphBackend, Result, SnbError, Value};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -36,12 +35,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// How long a client waits for a response before giving up.
     pub request_timeout: Duration,
-    /// The analytics tier: runner-pool size, admission bound, and
-    /// default kernel parallelism for snapshot-pinned jobs. The runner
-    /// pool is *separate* from (and much smaller than) the interactive
-    /// worker pool, so a PageRank sweep never occupies a traversal
-    /// worker slot.
-    pub analytics: AnalyticsConfig,
     /// Entry capacity of the inline-path result cache: bounded
     /// read-only traversal payloads keyed on (encoded traversal bytes,
     /// backend write epoch). `0` disables the cache; backends without a
@@ -55,7 +48,6 @@ impl Default for ServerConfig {
             workers: default_workers(),
             queue_capacity: 64,
             request_timeout: Duration::from_secs(30),
-            analytics: AnalyticsConfig::default(),
             result_cache_capacity: DEFAULT_RESULT_CACHE_CAPACITY,
         }
     }
@@ -145,7 +137,6 @@ pub struct GremlinServer {
     timeout: Duration,
     backend: Arc<dyn GraphBackend>,
     inline: Arc<InlineSlots>,
-    jobs: Arc<JobManager>,
     cache: Option<Arc<ResultCache<Vec<u8>>>>,
     shutdown: Arc<AtomicBool>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -176,7 +167,6 @@ impl GremlinServer {
                 }
             }));
         }
-        let jobs = JobManager::new(Arc::clone(&backend), config.analytics);
         // No epoch, no cache: a backend without a monotone write
         // counter cannot key entries safely, so don't even allocate.
         let cache = (config.result_cache_capacity > 0 && backend.cache_epoch().is_some())
@@ -186,7 +176,6 @@ impl GremlinServer {
             timeout: config.request_timeout,
             inline: Arc::new(InlineSlots(AtomicUsize::new(config.workers))),
             backend,
-            jobs,
             cache,
             shutdown,
             handles,
@@ -197,12 +186,6 @@ impl GremlinServer {
     /// benchmark harness and `cache_smoke`).
     pub fn result_cache(&self) -> Option<&Arc<ResultCache<Vec<u8>>>> {
         self.cache.as_ref()
-    }
-
-    /// The analytics job manager, for in-process job submission (the
-    /// remote path goes through the Analytics frame instead).
-    pub fn analytics(&self) -> &Arc<JobManager> {
-        &self.jobs
     }
 
     /// A client handle; cheap to clone, safe to use from many threads.
@@ -222,7 +205,6 @@ impl GremlinServer {
             tx: self.tx.clone(),
             backend: Arc::clone(&self.backend),
             inline: Arc::clone(&self.inline),
-            jobs: Arc::clone(&self.jobs),
             cache: self.cache.clone(),
         }
     }
@@ -234,10 +216,6 @@ impl Drop for GremlinServer {
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
-        // The analytics runners each hold an `Arc<JobManager>`, so the
-        // manager's own `Drop` never runs while they live: stop them
-        // here, or the manager (and the backend it holds) outlives us.
-        self.jobs.shutdown();
     }
 }
 
@@ -322,7 +300,6 @@ pub struct RawSubmitter {
     tx: Sender<Request>,
     backend: Arc<dyn GraphBackend>,
     inline: Arc<InlineSlots>,
-    jobs: Arc<JobManager>,
     cache: Option<Arc<ResultCache<Vec<u8>>>>,
 }
 
@@ -407,7 +384,7 @@ impl RawSubmitter {
         let epoch = match &self.cache {
             Some(c) => match self.backend.cache_epoch() {
                 Some(e) => {
-                    if let Some(bytes) = c.get1(payload, e) {
+                    if let Some(bytes) = c.get(payload, e) {
                         return Some(Ok(bytes));
                     }
                     Some(e)
@@ -433,7 +410,7 @@ impl RawSubmitter {
                     // reflect either side, so it is only stored when
                     // the epoch observed before execution still holds.
                     if self.backend.cache_epoch() == Some(e) {
-                        c.insert1(payload, e, bytes.clone());
+                        c.insert(payload, e, bytes.clone());
                     }
                 }
                 Some(Ok(bytes))
@@ -446,40 +423,6 @@ impl RawSubmitter {
     /// The inline-path result cache, when enabled.
     pub fn result_cache(&self) -> Option<&Arc<ResultCache<Vec<u8>>>> {
         self.cache.as_ref()
-    }
-
-    /// Execute a frontier-batch request (the payload of a Frontier
-    /// frame) on the calling thread and return the encoded response.
-    ///
-    /// Unlike traversals, frontier requests are *always* bounded by
-    /// construction — one adjacency scan or one property row per listed
-    /// vertex, no search — so the transports run them directly on the
-    /// I/O thread, skipping the worker queue and its `Overloaded`
-    /// admission entirely: a scatter-gather wave must never be rejected
-    /// halfway, or the router would have to retry the whole read.
-    pub fn execute_frontier(&self, payload: &[u8]) -> Result<Vec<u8>> {
-        crate::frontier::handle_frontier(&*self.backend, payload)
-    }
-
-    /// Execute an analytics control request (the payload of an
-    /// Analytics frame) on the calling thread and return the encoded
-    /// response.
-    ///
-    /// Every analytics op is a cheap control action — enqueue a job,
-    /// read its state, clone a (top-k-truncated) result, flip a cancel
-    /// flag. The kernel itself runs on the job manager's dedicated
-    /// low-priority runner pool, so like frontier batches these bypass
-    /// the worker queue and execute directly on the I/O thread.
-    /// Admission control still applies: a full job queue surfaces as
-    /// [`SnbError::Overloaded`], which the transports map onto a typed
-    /// error frame.
-    pub fn execute_analytics(&self, payload: &[u8]) -> Result<Vec<u8>> {
-        snb_analytics::handle_analytics(&self.jobs, payload)
-    }
-
-    /// The analytics job manager behind this submitter.
-    pub fn analytics(&self) -> &Arc<JobManager> {
-        &self.jobs
     }
 }
 
@@ -702,41 +645,23 @@ mod tests {
 
     #[test]
     fn dropping_the_server_frees_its_backend() {
-        use snb_analytics::{JobSpec, JobState, PageRankConfig};
-        let store = Arc::new(NativeGraphStore::new());
-        for id in 1..=40 {
-            store.add_vertex(VertexLabel::Person, id, &[]).unwrap();
-        }
-        for id in 1..40 {
-            store.add_edge(EdgeLabel::Knows, p(id), p(id + 1), &[]).unwrap();
-        }
-        store.compact_now();
-        let backend: Arc<dyn GraphBackend> = store;
+        let backend = backend();
         let weak = Arc::downgrade(&backend);
-        let server = GremlinServer::start(
-            backend,
-            ServerConfig {
-                analytics: AnalyticsConfig { runners: 1, max_pending: 2, default_workers: 1 },
-                ..Default::default()
-            },
-        );
-        // A slow job that is running when the server drops, and one
-        // still queued behind it.
-        let mut spec = JobSpec::pagerank(PageRankConfig {
-            epsilon: 0.0,
-            max_iters: 100_000,
-            ..Default::default()
-        });
-        spec.pacing = Duration::from_millis(5);
-        let jobs = server.analytics();
-        let running = jobs.submit(spec.clone()).unwrap();
-        let queued = jobs.submit(spec).unwrap();
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        while !matches!(jobs.poll(running).unwrap().state, JobState::Running { .. }) {
-            assert!(std::time::Instant::now() < deadline, "job never started");
-            std::thread::sleep(Duration::from_millis(2));
+        let server =
+            GremlinServer::start(backend, ServerConfig { workers: 2, ..Default::default() });
+        // Run work on the pool so every clone the workers hold is live.
+        let raw = server.raw_submitter();
+        let (reply_tx, reply_rx) = bounded(4);
+        for tag in 0..4u64 {
+            let payload =
+                wire::encode_traversal(&Traversal::v(p(3)).both(EdgeLabel::Knows).count());
+            raw.submit_raw(tag, payload, &reply_tx).unwrap();
         }
-        assert_eq!(jobs.poll(queued).unwrap().state, JobState::Queued);
+        for _ in 0..4 {
+            let (_, result) = reply_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(wire::decode_values(&result.unwrap()).unwrap(), vec![Value::Int(2)]);
+        }
+        drop(raw);
         drop(server);
         assert!(weak.upgrade().is_none(), "backend still alive after the server dropped");
     }

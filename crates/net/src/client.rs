@@ -149,16 +149,10 @@ impl ConnInner {
             .unwrap_or_else(|| SnbError::Io("connection lost".into()))
     }
 
-    /// Put one frame on the wire without waiting for its response:
-    /// registers the reply slot, writes the frame, and hands back the
-    /// correlation id and receiver. The building block under both the
-    /// blocking [`ConnInner::request`] round trip and the router's
-    /// scatter phase (start a wave on every shard, then gather).
-    fn start(
-        &self,
-        kind: FrameKind,
-        payload: &[u8],
-    ) -> Result<(u64, Receiver<Result<Vec<u8>>>)> {
+    /// Put one Request frame on the wire without waiting for its
+    /// response: registers the reply slot, writes the frame, and hands
+    /// back the correlation id and receiver.
+    fn start(&self, payload: &[u8]) -> Result<(u64, Receiver<Result<Vec<u8>>>)> {
         if self.shared.dead.load(Ordering::Acquire) {
             return Err(self.dead_error());
         }
@@ -168,7 +162,10 @@ impl ConnInner {
         let write_result = {
             let _guard = self.write_lock.lock();
             let mut w = &self.stream;
-            frame::write_frame(&mut w, &Frame { kind, corr_id, payload: payload.to_vec() })
+            frame::write_frame(
+                &mut w,
+                &Frame { kind: FrameKind::Request, corr_id, payload: payload.to_vec() },
+            )
         };
         if let Err(e) = write_result {
             self.shared.pending.lock().remove(&corr_id);
@@ -180,7 +177,7 @@ impl ConnInner {
 
     /// One pipelined request/response round trip.
     fn request(&self, payload: &[u8], timeout: Duration) -> Result<Vec<u8>> {
-        let (corr_id, rx) = self.start(FrameKind::Request, payload)?;
+        let (corr_id, rx) = self.start(payload)?;
         match rx.recv_timeout(timeout) {
             Ok(result) => result,
             Err(_) => {
@@ -279,7 +276,7 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<ConnShared>) {
                     deliver(&shared, f.corr_id, Err(err));
                 }
                 // Server → client frames are only Response/Error.
-                FrameKind::Request | FrameKind::Frontier | FrameKind::Analytics => break, // protocol violation
+                FrameKind::Request => break, // protocol violation
             },
             Ok(None) | Err(_) => break,
         }
@@ -292,33 +289,6 @@ fn deliver(shared: &ConnShared, corr_id: u64, result: Result<Vec<u8>>) {
     if let Some(tx) = shared.pending.lock().remove(&corr_id) {
         // The caller may have timed out between the map lookup and here.
         let _ = tx.try_send(result);
-    }
-}
-
-/// An in-flight request whose frame is already on the wire. Produced by
-/// [`NetPool::start_frontier`]; [`PendingReply::wait`] blocks for the
-/// tagged response. Separating start from wait is what lets one router
-/// thread fan a scatter-gather wave out to every shard *concurrently* —
-/// all the frames go out back-to-back, then the replies are gathered —
-/// instead of paying one sequential round trip per shard.
-pub struct PendingReply {
-    conn: Arc<ConnInner>,
-    corr_id: u64,
-    rx: Receiver<Result<Vec<u8>>>,
-    timeout: Duration,
-}
-
-impl PendingReply {
-    /// Block for the response (bounded by the client's request timeout).
-    pub fn wait(self) -> Result<Vec<u8>> {
-        match self.rx.recv_timeout(self.timeout) {
-            Ok(result) => result,
-            Err(_) => {
-                // A late frame for this id is dropped by the reader.
-                self.conn.shared.pending.lock().remove(&self.corr_id);
-                Err(SnbError::Overloaded("request timed out".into()))
-            }
-        }
     }
 }
 
@@ -366,30 +336,6 @@ impl PooledConn {
         loop {
             let result =
                 self.get().and_then(|c| c.request_batch(payloads, self.cfg.request_timeout));
-            match result {
-                Err(SnbError::Io(_)) if attempt < self.cfg.max_retries => {
-                    self.back_off(attempt);
-                    attempt += 1;
-                }
-                other => return other,
-            }
-        }
-    }
-
-    /// Start one frame of the given kind without waiting for the reply,
-    /// with the usual Io-only retry policy applied to the *send*: once
-    /// the frame is on the wire, the caller owns the wait.
-    fn start(&self, kind: FrameKind, payload: &[u8]) -> Result<PendingReply> {
-        let mut attempt = 0u32;
-        loop {
-            let result = self.get().and_then(|c| {
-                c.start(kind, payload).map(|(corr_id, rx)| PendingReply {
-                    conn: Arc::clone(&c),
-                    corr_id,
-                    rx,
-                    timeout: self.cfg.request_timeout,
-                })
-            });
             match result {
                 Err(SnbError::Io(_)) if attempt < self.cfg.max_retries => {
                     self.back_off(attempt);
@@ -465,33 +411,6 @@ impl NetPool {
                 })
             })
             .collect())
-    }
-
-    /// Start one frontier-batch request (the sharded router's
-    /// scatter-gather wave) on the next pooled connection without
-    /// waiting for the reply. The caller gathers via
-    /// [`PendingReply::wait`] after starting the wave on every shard.
-    pub fn start_frontier(&self, payload: &[u8]) -> Result<PendingReply> {
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.conns.len();
-        self.conns[slot].start(FrameKind::Frontier, payload)
-    }
-
-    /// One blocking frontier round trip (start + wait).
-    pub fn submit_frontier(&self, payload: &[u8]) -> Result<Vec<u8>> {
-        self.start_frontier(payload)?.wait()
-    }
-
-    /// Start one analytics control request (submit / poll / fetch /
-    /// cancel an analytics job) without waiting for the reply.
-    pub fn start_analytics(&self, payload: &[u8]) -> Result<PendingReply> {
-        let slot = self.next.fetch_add(1, Ordering::Relaxed) % self.conns.len();
-        self.conns[slot].start(FrameKind::Analytics, payload)
-    }
-
-    /// One blocking analytics round trip (start + wait). The typed
-    /// wrappers in [`crate::analytics`] sit on top of this.
-    pub fn submit_analytics(&self, payload: &[u8]) -> Result<Vec<u8>> {
-        self.start_analytics(payload)?.wait()
     }
 
     /// Pool size.

@@ -6,7 +6,8 @@
 //! offset  size  field
 //! 0       4     magic       0x31424E53 ("SNB1" little-endian)
 //! 4       1     version     1
-//! 5       1     kind        0=Request 1=Response 2=Error 3=Frontier 4=Analytics
+//! 5       1     kind        0=Request 1=Response 2=Error
+//!                           (3 and 4 are retired; never reuse them)
 //! 6       8     corr_id     u64 correlation id (echoed in the reply)
 //! 14      4     len         payload length in bytes
 //! 18      4     checksum    FNV-1a over the payload
@@ -53,14 +54,9 @@ pub enum FrameKind {
     /// error is connection-fatal (e.g. the connection limit), otherwise
     /// it answers the named request.
     Error = 2,
-    /// Client → server: an encoded frontier-batch request (the sharded
-    /// router's scatter-gather wave). Answered with an ordinary
-    /// Response/Error frame, so the client reader needs no new route.
-    Frontier = 3,
-    /// Client → server: an encoded analytics control request (submit /
-    /// poll / fetch / cancel a snapshot-pinned job). Also answered with
-    /// an ordinary Response/Error frame.
-    Analytics = 4,
+    // Tags 3 and 4 carried frontier-batch and analytics requests, both
+    // removed. They now decode as `FrameEvent::UnknownKind`; never give
+    // them a new meaning, or an old client's frame would be misread.
 }
 
 impl FrameKind {
@@ -69,8 +65,6 @@ impl FrameKind {
             0 => FrameKind::Request,
             1 => FrameKind::Response,
             2 => FrameKind::Error,
-            3 => FrameKind::Frontier,
-            4 => FrameKind::Analytics,
             other => return Err(SnbError::Codec(format!("unknown frame kind {other}"))),
         })
     }
@@ -405,8 +399,6 @@ mod tests {
             frame(FrameKind::Request, 1, b"hello"),
             frame(FrameKind::Response, u64::MAX, &[]),
             frame(FrameKind::Error, 0, &[0xFF; 300]),
-            frame(FrameKind::Frontier, 9, b"wave"),
-            frame(FrameKind::Analytics, 17, b"job"),
         ] {
             let bytes = encode_frame(&f);
             assert_eq!(bytes.len(), HEADER_LEN + f.payload.len());

@@ -30,7 +30,6 @@
 //!   [`snb_gremlin::TraversalEndpoint`], so the driver's Gremlin
 //!   adapters run unchanged over the socket.
 
-pub mod analytics;
 pub mod client;
 pub mod frame;
 #[cfg(target_os = "linux")]
@@ -38,7 +37,6 @@ mod reactor;
 pub mod server;
 mod sys;
 
-pub use analytics::AnalyticsClient;
-pub use client::{ClientConfig, NetPool, PendingReply};
+pub use client::{ClientConfig, NetPool};
 pub use frame::{Frame, FrameEvent, FrameKind};
 pub use server::{default_reactor_threads, IoModel, NetServer, NetServerConfig};

@@ -635,37 +635,6 @@ fn dispatch_frames(conn: &mut Conn, submitter: &RawSubmitter) {
                     }
                 }
             }
-            Ok(Some(FrameEvent::Frame(f))) if f.kind == FrameKind::Frontier => {
-                // A frontier batch is bounded by construction (one
-                // adjacency scan or property row per listed vertex), so
-                // it runs right here on the event loop — no worker
-                // queue, no Overloaded: a scatter-gather wave either
-                // answers or fails as a whole.
-                match submitter.execute_frontier(&f.payload) {
-                    Ok(payload) => {
-                        conn.out.push_frame(FrameKind::Response, f.corr_id, &payload)
-                    }
-                    Err(e) => {
-                        conn.out.push_frame(FrameKind::Error, f.corr_id, &wire::encode_error(&e))
-                    }
-                }
-            }
-            Ok(Some(FrameEvent::Frame(f))) if f.kind == FrameKind::Analytics => {
-                // Analytics ops are cheap control actions (submit /
-                // poll / fetch / cancel — the kernel runs on the job
-                // manager's own low-priority pool), so like frontier
-                // batches they execute right here on the event loop. A
-                // malformed payload answers with a typed Codec error on
-                // this corr_id; the connection lives on.
-                match submitter.execute_analytics(&f.payload) {
-                    Ok(payload) => {
-                        conn.out.push_frame(FrameKind::Response, f.corr_id, &payload)
-                    }
-                    Err(e) => {
-                        conn.out.push_frame(FrameKind::Error, f.corr_id, &wire::encode_error(&e))
-                    }
-                }
-            }
             Ok(Some(FrameEvent::Frame(f))) => {
                 let e = SnbError::Codec("client may only send Request frames".into());
                 conn.out.push_frame(FrameKind::Error, f.corr_id, &wire::encode_error(&e));

@@ -327,23 +327,6 @@ fn handle_connection(
                     let _ = results_tx.send((f.corr_id, Err(e)));
                 }
             }
-            Ok(Some(FrameEvent::Frame(f))) if f.kind == FrameKind::Frontier => {
-                // Frontier batches are bounded by construction (one
-                // adjacency scan per listed vertex), so they execute on
-                // the reader thread, bypassing the worker queue — a
-                // scatter-gather wave is never rejected with Overloaded.
-                let result = submitter.execute_frontier(&f.payload);
-                let _ = results_tx.send((f.corr_id, result));
-            }
-            Ok(Some(FrameEvent::Frame(f))) if f.kind == FrameKind::Analytics => {
-                // Analytics ops are cheap control actions (the kernel
-                // runs on the job manager's own pool); execute inline
-                // like frontier batches. A malformed payload comes back
-                // as a typed Codec error on this corr_id — never a
-                // dropped connection.
-                let result = submitter.execute_analytics(&f.payload);
-                let _ = results_tx.send((f.corr_id, result));
-            }
             Ok(Some(FrameEvent::Frame(f))) => {
                 let e = SnbError::Codec("client may only send Request frames".into());
                 let _ = results_tx.send((f.corr_id, Err(e)));

@@ -79,10 +79,7 @@ io_model_suite!(
     graceful_shutdown_answers_in_flight_requests,
     batched_submission_round_trips_in_order,
     batch_tolerates_per_request_query_errors,
-    analytics_jobs_roundtrip_over_the_socket,
-    analytics_cancel_stops_a_running_job,
     unknown_frame_kind_gets_typed_error_and_connection_survives,
-    malformed_analytics_payload_gets_typed_error_not_disconnect,
 );
 
 fn eight_clients_pipeline_100_lookups_each_no_misrouting(io: IoModel) {
@@ -341,200 +338,45 @@ fn batched_submission_round_trips_in_order(io: IoModel) {
     assert_eq!(pool.submit_batch(&[]).unwrap().len(), 0);
 }
 
-/// A server over an asymmetric graph (chain + hub fan-out). The shared
-/// ring backend is vertex-transitive, so PageRank's uniform init is
-/// already the fixed point and the kernel converges at iteration 1 —
-/// useless for observing progress. The chain+hub shape keeps deltas
-/// nonzero for hundreds of iterations.
-fn analytics_server(io: IoModel) -> NetServer {
-    let s = NativeGraphStore::new();
-    for id in 0..PERSONS {
-        s.add_vertex(
-            VertexLabel::Person,
-            id,
-            &[(PropKey::FirstName, Value::str(&format!("p{id}")))],
-        )
-        .unwrap();
-    }
-    for id in 0..PERSONS - 1 {
-        s.add_edge(EdgeLabel::Knows, p(id), p(id + 1), &[]).unwrap();
-    }
-    for id in 2..PERSONS / 2 {
-        s.add_edge(EdgeLabel::Knows, p(0), p(id), &[]).unwrap();
-    }
-    let gremlin = GremlinServer::start(Arc::new(s), ServerConfig::default());
-    NetServer::start(gremlin, NetServerConfig::default().with_io_model(io)).unwrap()
-}
-
-fn analytics_jobs_roundtrip_over_the_socket(io: IoModel) {
-    use snb_analytics::{JobKind, JobOutput, JobSpec, JobState, PageRankConfig};
-    let server = analytics_server(io);
-    let pool = NetPool::connect(server.local_addr(), ClientConfig::default()).unwrap();
-    let jobs = snb_net::AnalyticsClient::new(&pool);
-
-    // PageRank with per-iteration pacing so Running-state progress is
-    // observable from the remote side.
-    let mut spec = JobSpec::pagerank(PageRankConfig { epsilon: 0.0, max_iters: 40, ..Default::default() });
-    spec.label = Some(EdgeLabel::Knows);
-    spec.pacing = Duration::from_millis(5);
-    let id = jobs.submit_job(spec).unwrap();
-
-    // Poll to completion, recording distinct Running iterations.
-    let mut running_iters = std::collections::BTreeSet::new();
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    loop {
-        let st = jobs.poll_job(id).unwrap();
-        match st.state {
-            JobState::Running { iteration, .. } => {
-                running_iters.insert(iteration);
-            }
-            JobState::Done => break,
-            JobState::Queued => {}
-            other => panic!("unexpected state {other:?}"),
-        }
-        assert!(std::time::Instant::now() < deadline, "job did not finish");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert!(
-        running_iters.len() >= 2,
-        "expected >=2 distinct progress observations, saw {running_iters:?}"
-    );
-
-    // Top-k fetch: 5 entries, descending, all positive.
-    match jobs.fetch_result(id, Some(5)).unwrap() {
-        JobOutput::PageRank { ranks, iterations, .. } => {
-            assert_eq!(iterations, 40, "epsilon 0 runs the full budget");
-            assert_eq!(ranks.len(), 5);
-            for w in ranks.windows(2) {
-                assert!(w[0].1 >= w[1].1, "top-k must be rank-descending");
-            }
-            assert!(ranks.iter().all(|(_, r)| *r > 0.0));
-        }
-        other => panic!("expected PageRank output, got {other:?}"),
-    }
-
-    // WCC over the same graph: the chain connects everything.
-    let mut wcc = JobSpec::wcc();
-    wcc.label = Some(EdgeLabel::Knows);
-    assert_eq!(wcc.kind, JobKind::Wcc);
-    let wid = jobs.submit_job(wcc).unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while !jobs.poll_job(wid).unwrap().state.is_terminal() {
-        assert!(std::time::Instant::now() < deadline, "wcc did not finish");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    match jobs.fetch_result(wid, None).unwrap() {
-        JobOutput::Wcc { components, assignment } => {
-            assert_eq!(components, 1);
-            assert_eq!(assignment.len(), PERSONS as usize);
-            let comp = assignment[0].1;
-            assert!(assignment.iter().all(|(_, c)| *c == comp));
-        }
-        other => panic!("expected Wcc output, got {other:?}"),
-    }
-}
-
-fn analytics_cancel_stops_a_running_job(io: IoModel) {
-    use snb_analytics::{JobSpec, JobState, PageRankConfig};
-    let server = analytics_server(io);
-    let pool = NetPool::connect(server.local_addr(), ClientConfig::default()).unwrap();
-    let jobs = snb_net::AnalyticsClient::new(&pool);
-    // A slow job: epsilon 0 never converges, pacing stretches each of
-    // the 10_000 iterations, so the cancel lands mid-run.
-    let mut spec = JobSpec::pagerank(PageRankConfig { epsilon: 0.0, max_iters: 10_000, ..Default::default() });
-    spec.label = Some(EdgeLabel::Knows);
-    spec.pacing = Duration::from_millis(10);
-    let id = jobs.submit_job(spec).unwrap();
-    // Wait until it is genuinely running...
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    loop {
-        let st = jobs.poll_job(id).unwrap();
-        if matches!(st.state, JobState::Running { .. }) {
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "job never started");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    // ...then cancel and watch it reach the Cancelled terminal state.
-    assert!(jobs.cancel_job(id).unwrap(), "job should still be live");
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    loop {
-        let st = jobs.poll_job(id).unwrap();
-        if st.state.is_terminal() {
-            assert_eq!(st.state, JobState::Cancelled);
-            break;
-        }
-        assert!(std::time::Instant::now() < deadline, "cancel never landed");
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    // A cancelled job has no result to fetch: typed Conflict, and the
-    // connection stays healthy for interactive traffic.
-    let r = jobs.fetch_result(id, None);
-    assert!(matches!(r, Err(SnbError::Conflict(_))), "{r:?}");
-    assert_eq!(pool.submit(&Traversal::v(p(1)).count()).unwrap(), vec![Value::Int(1)]);
-}
-
 fn unknown_frame_kind_gets_typed_error_and_connection_survives(io: IoModel) {
     let server = default_server(io);
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    // A frame with an unknown kind tag but a valid header and checksum:
-    // the server must answer with a typed error on ITS corr_id and keep
-    // the connection — a newer client speaking a future frame kind gets
-    // an error it can read, not a dropped socket.
-    let mut raw = frame::encode_frame(&Frame {
-        kind: FrameKind::Request,
-        corr_id: 77,
-        payload: b"from the future".to_vec(),
-    });
-    raw[5] = 42; // kind byte
-    use std::io::Write as _;
-    stream.write_all(&raw).unwrap();
-    stream.flush().unwrap();
-    let f = frame::read_frame(&mut stream).unwrap().expect("typed error frame");
-    assert_eq!(f.kind, FrameKind::Error);
-    assert_eq!(f.corr_id, 77, "error must answer the offending frame, not kill the connection");
-    assert!(matches!(wire::decode_error(&f.payload).unwrap(), SnbError::Codec(_)));
-    // The same connection still serves ordinary requests.
-    let t = Traversal::v(p(5)).values(PropKey::Id);
-    frame::write_frame(
-        &mut stream,
-        &Frame { kind: FrameKind::Request, corr_id: 78, payload: wire::encode_traversal(&t) },
-    )
-    .unwrap();
-    let ok = frame::read_frame(&mut stream).unwrap().expect("response frame");
-    assert_eq!(ok.kind, FrameKind::Response);
-    assert_eq!(ok.corr_id, 78);
-    assert_eq!(wire::decode_values(&ok.payload).unwrap(), vec![Value::Int(5)]);
-}
-
-fn malformed_analytics_payload_gets_typed_error_not_disconnect(io: IoModel) {
-    let server = default_server(io);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    // Garbage analytics payloads — empty, unknown op, truncated Submit —
-    // must each answer with a typed Codec error on their corr_id.
-    for (corr_id, payload) in
-        [(10u64, vec![]), (11, vec![0xEE]), (12, vec![0u8, 0, 0xFF])]
-    {
+    // Frames with an unknown kind tag but a valid header and checksum:
+    // the server must answer each with a typed error on ITS corr_id and
+    // keep the connection — a client speaking a kind this server does
+    // not know gets an error it can read, not a dropped socket. Tags 3
+    // and 4 are the retired frontier and analytics kinds; 42 is a kind
+    // no version has defined.
+    for (corr_id, tag) in [(77u64, 3u8), (78, 4), (79, 42)] {
+        let mut raw = frame::encode_frame(&Frame {
+            kind: FrameKind::Request,
+            corr_id,
+            payload: b"unknown kind".to_vec(),
+        });
+        raw[5] = tag; // kind byte
+        use std::io::Write as _;
+        stream.write_all(&raw).unwrap();
+        stream.flush().unwrap();
+        let f = frame::read_frame(&mut stream).unwrap().expect("typed error frame");
+        assert_eq!(f.kind, FrameKind::Error, "tag {tag}");
+        assert_eq!(f.corr_id, corr_id, "tag {tag}: error must answer the offending frame");
+        assert!(matches!(wire::decode_error(&f.payload).unwrap(), SnbError::Codec(_)), "tag {tag}");
+        // The same connection still serves ordinary requests.
+        let t = Traversal::v(p(5)).values(PropKey::Id);
         frame::write_frame(
             &mut stream,
-            &Frame { kind: FrameKind::Analytics, corr_id, payload },
+            &Frame {
+                kind: FrameKind::Request,
+                corr_id: corr_id + 100,
+                payload: wire::encode_traversal(&t),
+            },
         )
         .unwrap();
-        let f = frame::read_frame(&mut stream).unwrap().expect("typed error frame");
-        assert_eq!(f.kind, FrameKind::Error);
-        assert_eq!(f.corr_id, corr_id);
-        assert!(matches!(wire::decode_error(&f.payload).unwrap(), SnbError::Codec(_)));
+        let ok = frame::read_frame(&mut stream).unwrap().expect("response frame");
+        assert_eq!(ok.kind, FrameKind::Response, "tag {tag}");
+        assert_eq!(ok.corr_id, corr_id + 100);
+        assert_eq!(wire::decode_values(&ok.payload).unwrap(), vec![Value::Int(5)]);
     }
-    // The connection survives and still answers interactive requests.
-    let t = Traversal::v(p(7)).values(PropKey::Id);
-    frame::write_frame(
-        &mut stream,
-        &Frame { kind: FrameKind::Request, corr_id: 13, payload: wire::encode_traversal(&t) },
-    )
-    .unwrap();
-    let ok = frame::read_frame(&mut stream).unwrap().expect("response frame");
-    assert_eq!(ok.kind, FrameKind::Response);
-    assert_eq!(wire::decode_values(&ok.payload).unwrap(), vec![Value::Int(7)]);
 }
 
 fn batch_tolerates_per_request_query_errors(io: IoModel) {

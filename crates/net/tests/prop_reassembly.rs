@@ -10,14 +10,12 @@ use proptest::prelude::*;
 use snb_net::frame::{self, Frame, FrameDecoder, FrameEvent, FrameKind};
 
 fn frame_strategy() -> impl Strategy<Value = Frame> {
-    (0..5u8, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..96)).prop_map(
+    (0..3u8, any::<u64>(), proptest::collection::vec(any::<u8>(), 0..96)).prop_map(
         |(kind, corr_id, payload)| {
             let kind = match kind {
                 0 => FrameKind::Request,
                 1 => FrameKind::Response,
-                2 => FrameKind::Error,
-                3 => FrameKind::Frontier,
-                _ => FrameKind::Analytics,
+                _ => FrameKind::Error,
             };
             Frame { kind, corr_id, payload }
         },
